@@ -10,14 +10,25 @@ exactly when some instance is open for reception on a session whose queue
 head it cannot receive.
 
 All values are immutable; exploration and simulation are deterministic.
+
+Exploration looks up, rather than recomputes, what each instance can do:
+
+* each control graph's successor table (``ControlGraph.successor_table``)
+  is built once, on first use, and then shared by every instance that
+  runs that graph; it must not be mutated;
+* instances and configurations are immutable and compute their hash once,
+  when they are built, so a ``visited`` lookup hashes cached ints.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from operator import attrgetter, indexOf
 
-from .control import ControlGraph, Recv, Send, SesInit
+from .control import ControlGraph, SesInit, StateEdges
 from .diagnostics import (
     BROKEN_BINDING,
     CLIENT_SHAPE,
@@ -64,9 +75,11 @@ Value = Data | ServiceLoc | SessionId
 EXCHANGEABLE = (Data, ServiceLoc)
 
 
+_VALUE_RANK = {Data: 0, ServiceLoc: 1, SessionId: 2}
+
+
 def value_key(value: Value) -> tuple:
-    rank = {Data: 0, ServiceLoc: 1, SessionId: 2}[type(value)]
-    return (rank, value.render())
+    return (_VALUE_RANK[type(value)], value.render())
 
 
 VarMap = tuple[tuple[str, Value | None], ...]
@@ -127,25 +140,65 @@ class DeployableService:
         return loc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
+    """A running instance: immutable, hashed once when built.
+
+    ``edges`` is the current state's row of the graph's successor table.
+    """
+
     origin: str  # service name, or "client"
     var_map: VarMap
     graph: ControlGraph = field(repr=False)
     state: int
+    edges: StateEdges = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "edges", self.graph.successor_table()[self.state])
+        object.__setattr__(
+            self, "_hash", hash((self.origin, self.var_map, self.graph, self.state))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 Queues = tuple[tuple[Value, tuple[Message, ...]], ...]
+Bindings = tuple[tuple[SessionId, SessionId], ...]
+
+_NAME = attrgetter("name")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunningConfiguration:
+    """A configuration: immutable, hashed once when built.
+
+    ``queues`` is sorted by destination (``value_key``), holds no empty
+    queue, and ``bindings`` is sorted by pair; both are part of the
+    configuration's identity.  The hash leaves out ``services``, which no
+    step changes, and ``bindings``, which only session initiations extend,
+    each by one pair as it advances ``fresh_counter``: neither tells apart
+    configurations of one exploration.  Equality compares every field.
+    """
+
     services: tuple[DeployableService, ...]
     instances: tuple[Instance, ...]
     queues: Queues
-    bindings: tuple[tuple[SessionId, SessionId], ...]
+    bindings: Bindings
     fresh_counter: int = 0
     fault: Diagnostic | None = None
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "_hash",
+            hash((self.instances, self.queues, self.fresh_counter, self.fault)),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def queue(self, dest: Value) -> tuple[Message, ...]:
         for d, items in self.queues:
@@ -154,28 +207,40 @@ class RunningConfiguration:
         return ()
 
     def partner(self, session: SessionId) -> SessionId | None:
-        for a, b in self.bindings:
-            if a == session:
-                return b
-            if b == session:
-                return a
-        return None
+        # Bindings hold only session ids, so equal names mean equal
+        # sessions; matching names over the flattened pairs runs in C,
+        # with no Python-level __eq__ per binding.
+        names = map(_NAME, chain.from_iterable(self.bindings))
+        try:
+            i = indexOf(names, session.name)
+        except ValueError:
+            return None
+        return self.bindings[i // 2][1 - i % 2]
+
+
+def _queue_key(entry: tuple[Value, tuple[Message, ...]]) -> tuple:
+    return value_key(entry[0])
 
 
 def _queue_set(queues: Queues, dest: Value, items: tuple[Message, ...]) -> Queues:
-    as_dict = {d: i for d, i in queues}
-    if items:
-        as_dict[dest] = items
-    else:
-        as_dict.pop(dest, None)  # empty queues are dropped for canonicity
-    return tuple(sorted(as_dict.items(), key=lambda e: value_key(e[0])))
+    """``queues`` with ``dest``'s queue replaced; empty queues are dropped."""
+    i = bisect_left(queues, value_key(dest), key=_queue_key)
+    end = i + 1 if i < len(queues) and queues[i][0] == dest else i
+    entry = ((dest, items),) if items else ()
+    return queues[:i] + entry + queues[end:]
 
 
-def _bind(
-    bindings: tuple[tuple[SessionId, SessionId], ...], a: SessionId, b: SessionId
-) -> tuple[tuple[SessionId, SessionId], ...]:
-    pair = tuple(sorted((a, b), key=value_key))
-    return tuple(sorted(set(bindings) | {pair}, key=lambda p: (value_key(p[0]), value_key(p[1]))))
+def _pair_key(pair: tuple[SessionId, SessionId]) -> tuple:
+    return (value_key(pair[0]), value_key(pair[1]))
+
+
+def _bind(bindings: Bindings, a: SessionId, b: SessionId) -> Bindings:
+    """``bindings`` with the pair of ``a`` and ``b`` inserted in order."""
+    pair = (a, b) if value_key(a) <= value_key(b) else (b, a)
+    i = bisect_left(bindings, _pair_key(pair), key=_pair_key)
+    if i < len(bindings) and bindings[i] == pair:
+        return bindings
+    return bindings[:i] + (pair,) + bindings[i:]
 
 
 # --------------------------------------------------------------------------
@@ -245,8 +310,7 @@ def make_client(
     location variable is defined and names a deployed service.
     """
     problems: list[Diagnostic] = []
-    out = graph.outgoing()
-    first = out[graph.init]
+    first = graph.successor_table()[graph.init].all
     if not first:
         problems.append(Diagnostic(CLIENT_SHAPE, "the client activity does nothing"))
     locations = {svc.location for svc in services}
@@ -318,17 +382,25 @@ def _fresh_session(counter: int) -> tuple[SessionId, int]:
 
 
 def successors(config: RunningConfiguration) -> list[ConfigStep]:
-    """Every configuration reachable in one rule application."""
+    """Every configuration reachable in one rule application.
+
+    The steps come in a fixed order: SES1 over the instances, SES2 over
+    the services, then INV and REC over the instances, each instance's
+    edges in successor-table order.
+    """
     steps: list[ConfigStep] = []
     if config.fault is not None:
         return steps
+    instances = config.instances
+    # Instances at a sink of their graph take no step.
+    live = [(idx, inst) for idx, inst in enumerate(instances) if inst.edges.all]
+
+    def with_instance(idx: int, inst: Instance) -> tuple[Instance, ...]:
+        return instances[:idx] + (inst,) + instances[idx + 1 :]
 
     # SES1: an instance initiates a session.
-    for idx, inst in enumerate(config.instances):
-        out = inst.graph.outgoing()[inst.state]
-        for action, to in sorted(out, key=lambda e: (e[0].sort_key(), e[1])):
-            if not isinstance(action, SesInit):
-                continue
+    for idx, inst in live:
+        for action, to in inst.edges.ses_inits:
             target = var_map_get(inst.var_map, action.p)
             actor = f"{inst.origin}[{idx}]"
             if not isinstance(target, ServiceLoc):
@@ -342,27 +414,24 @@ def successors(config: RunningConfiguration) -> list[ConfigStep]:
                 continue
             alpha, counter = _fresh_session(config.fresh_counter)
             beta, counter = _fresh_session(counter)
-            new_inst = replace(
-                inst, var_map=var_map_set(inst.var_map, {action.s: alpha}), state=to
-            )
-            instances = (
-                config.instances[:idx] + (new_inst,) + config.instances[idx + 1 :]
+            new_inst = Instance(
+                inst.origin, var_map_set(inst.var_map, {action.s: alpha}), inst.graph, to
             )
             queues = _queue_set(
                 config.queues, target, config.queue(target) + (NewSession(beta),)
             )
-            result = replace(
-                config,
-                instances=instances,
-                queues=queues,
-                bindings=_bind(config.bindings, alpha, beta),
-                fresh_counter=counter,
+            result = RunningConfiguration(
+                config.services,
+                with_instance(idx, new_inst),
+                queues,
+                _bind(config.bindings, alpha, beta),
+                counter,
             )
             detail = f"{action.render()} -> {NewSession(beta).render()} at {target.render()}"
             steps.append(ConfigStep("SES1", actor, detail, result))
 
     # SES2: a service consumes a session request and spawns an instance.
-    for svc_idx, svc in enumerate(config.services):
+    for svc in config.services:
         queue = config.queue(svc.location)
         if not queue:
             continue
@@ -375,20 +444,19 @@ def successors(config: RunningConfiguration) -> list[ConfigStep]:
             graph=svc.graph,
             state=svc.graph.init,
         )
-        result = replace(
-            config,
-            instances=config.instances + (spawned,),
-            queues=_queue_set(config.queues, svc.location, queue[1:]),
+        result = RunningConfiguration(
+            config.services,
+            instances + (spawned,),
+            _queue_set(config.queues, svc.location, queue[1:]),
+            config.bindings,
+            config.fresh_counter,
         )
         detail = f"consume {head.render()} at {svc.location.render()}"
         steps.append(ConfigStep("SES2", svc.name, detail, result))
 
     # INV: an instance sends an operation message over a bound session.
-    for idx, inst in enumerate(config.instances):
-        out = inst.graph.outgoing()[inst.state]
-        for action, to in sorted(out, key=lambda e: (e[0].sort_key(), e[1])):
-            if not isinstance(action, Send):
-                continue
+    for idx, inst in live:
+        for action, to in inst.edges.sends:
             actor = f"{inst.origin}[{idx}]"
             own = var_map_get(inst.var_map, action.s)
             partner = (
@@ -421,23 +489,23 @@ def successors(config: RunningConfiguration) -> list[ConfigStep]:
                 )
                 continue
             message = OpMessage(action.op, tuple(payload))
-            new_inst = replace(inst, state=to)
-            instances = (
-                config.instances[:idx] + (new_inst,) + config.instances[idx + 1 :]
-            )
+            new_inst = Instance(inst.origin, inst.var_map, inst.graph, to)
             queues = _queue_set(
                 config.queues, partner, config.queue(partner) + (message,)
             )
-            result = replace(config, instances=instances, queues=queues)
+            result = RunningConfiguration(
+                config.services,
+                with_instance(idx, new_inst),
+                queues,
+                config.bindings,
+                config.fresh_counter,
+            )
             detail = f"{action.render()} -> {message.render()} to {partner.render()}"
             steps.append(ConfigStep("INV", actor, detail, result))
 
     # REC: an instance consumes a matching head message.
-    for idx, inst in enumerate(config.instances):
-        out = inst.graph.outgoing()[inst.state]
-        for action, to in sorted(out, key=lambda e: (e[0].sort_key(), e[1])):
-            if not isinstance(action, Recv):
-                continue
+    for idx, inst in live:
+        for action, to in inst.edges.recvs:
             own = var_map_get(inst.var_map, action.s)
             if not isinstance(own, SessionId):
                 continue
@@ -450,16 +518,15 @@ def successors(config: RunningConfiguration) -> list[ConfigStep]:
             if head.op != action.op or len(head.payload) != len(action.params):
                 continue
             updates = dict(zip(action.params, head.payload))
-            new_inst = replace(
-                inst, var_map=var_map_set(inst.var_map, updates), state=to
+            new_inst = Instance(
+                inst.origin, var_map_set(inst.var_map, updates), inst.graph, to
             )
-            instances = (
-                config.instances[:idx] + (new_inst,) + config.instances[idx + 1 :]
-            )
-            result = replace(
-                config,
-                instances=instances,
-                queues=_queue_set(config.queues, own, queue[1:]),
+            result = RunningConfiguration(
+                config.services,
+                with_instance(idx, new_inst),
+                _queue_set(config.queues, own, queue[1:]),
+                config.bindings,
+                config.fresh_counter,
             )
             actor = f"{inst.origin}[{idx}]"
             detail = f"{action.render()} <- {head.render()}"
@@ -496,7 +563,9 @@ def one_step_safe(config: RunningConfiguration) -> UnsafeWitness | None:
     yet no outgoing reception matches the head's operation and arity.
     """
     for idx, inst in enumerate(config.instances):
-        out = inst.graph.outgoing()[inst.state]
+        recvs = inst.edges.recvs
+        if not recvs:
+            continue  # open for reception on no session
         for var, value in inst.var_map:
             if not isinstance(value, SessionId):
                 continue
@@ -504,11 +573,7 @@ def one_step_safe(config: RunningConfiguration) -> UnsafeWitness | None:
             if not queue or not isinstance(queue[0], OpMessage):
                 continue
             head = queue[0]
-            receptions = [
-                action
-                for action, _ in out
-                if isinstance(action, Recv) and action.s == var
-            ]
+            receptions = [action for action, _ in recvs if action.s == var]
             if not receptions:
                 continue  # not open on this session
             if not any(

@@ -8,6 +8,7 @@ same input always yields bit-identical graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import (
     Activity,
@@ -213,6 +214,28 @@ Transition = tuple[int, Action, int]
 Payload = tuple[LinkMap, Activity]
 
 
+class StateEdges(NamedTuple):
+    """The outgoing edges of one state, sorted by ``(action.sort_key(), to)``.
+
+    ``all`` holds every edge; the other fields hold the same edges split by
+    action class, each in that order.
+    """
+
+    all: tuple[tuple[Action, int], ...]
+    ses_inits: tuple[tuple[SesInit, int], ...]
+    sends: tuple[tuple[Send, int], ...]
+    recvs: tuple[tuple[Recv, int], ...]
+
+
+def _state_edges(out: list[tuple[Action, int]]) -> StateEdges:
+    edges = tuple(sorted(out, key=lambda e: (e[0].sort_key(), e[1])))
+
+    def of(cls) -> tuple:
+        return tuple(e for e in edges if isinstance(e[0], cls))
+
+    return StateEdges(edges, of(SesInit), of(Send), of(Recv))
+
+
 @dataclass(frozen=True)
 class ControlGraph:
     """Labelled transition system over symbolic actions.
@@ -236,6 +259,19 @@ class ControlGraph:
     @property
     def states(self) -> range:
         return range(self.num_states)
+
+    def successor_table(self) -> tuple[StateEdges, ...]:
+        """Per state, its sorted outgoing edges split by action class.
+
+        Built from ``outgoing()`` on the first call and cached on the graph
+        (graphs are immutable), so later calls cost one lookup.  The table
+        is shared by every caller and must not be mutated.
+        """
+        table = self.__dict__.get("_succ")
+        if table is None:
+            table = tuple(_state_edges(out) for out in self.outgoing())
+            object.__setattr__(self, "_succ", table)
+        return table
 
     def outgoing(self) -> list[list[tuple[Action, int]]]:
         table: list[list[tuple[Action, int]]] = [[] for _ in self.states]

@@ -236,6 +236,35 @@ def test_compile_byte_identical_across_hash_seeds():
     assert len(outs) == 1
 
 
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (("fixtures/mismatch.cfg", "--trace"), 1),
+        (("corpus/looping.cfg", "--max-configs", "300"), 4),
+    ],
+)
+def test_check_byte_identical_across_hash_seeds(args, code):
+    outs = set()
+    for hash_seed in ("1", "2"):
+        proc = run_cli("check", *args, hash_seed=hash_seed)
+        assert proc.returncode == code, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1
+
+
+def test_python_dash_m_seb_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "seb", "check", "corpus/pingpong.cfg"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("Verified")
+
+
 def test_simulate_byte_identical_across_runs():
     one = run_cli("simulate", "corpus/pingpong.cfg", "--steps", "8", "--seed", "42")
     two = run_cli("simulate", "corpus/pingpong.cfg", "--steps", "8", "--seed", "42")

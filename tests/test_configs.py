@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -25,16 +26,21 @@ from seb.configs import (
     successors,
     var_map_get,
 )
+from seb.control import ControlGraph
 from seb.diagnostics import (
     BROKEN_BINDING,
     CLIENT_SHAPE,
     DANGLING_PARTNER,
     DUP_LOCATION,
     UNDEFINED_FREE,
+    Diagnostic,
 )
+from seb.manifest import load_manifest
 from seb.parser import parse_activity
 from seb.transforms import compile_stages
 from seb.variables import classify_occurrences
+
+from conftest import ROOT
 
 
 def service_from(source: str, name: str, at: str, **binds) -> DeployableService:
@@ -383,6 +389,71 @@ def test_service_order_does_not_change_the_verdict():
         verdicts.add(type(result).__name__)
         assert isinstance(result, Verified)
     assert verdicts == {"Verified"}
+
+
+# --------------------------------------------------------------------------
+# Cached successor tables and hashes
+
+
+def test_exploration_builds_each_successor_table_once(monkeypatch):
+    loaded = load_manifest(ROOT / "corpus/looping.cfg")
+    graphs = {id(svc.graph) for svc in loaded.services} | {id(loaded.client.graph)}
+    built = []
+    original = ControlGraph.outgoing
+
+    def counting(self):
+        built.append(id(self))
+        return original(self)
+
+    monkeypatch.setattr(ControlGraph, "outgoing", counting)
+    result = explore_safety(list(loaded.services), loaded.client, max_configs=500)
+    assert isinstance(result, Exhausted)
+    assert len(built) == len(set(built)) <= len(graphs)
+    assert set(built) <= graphs
+
+
+def test_replace_computes_a_fresh_hash(ping_setup):
+    svc, client = ping_setup
+    config = make_initial_config([svc], client)
+    fault = Diagnostic(BROKEN_BINDING, "made up")
+    faulty = replace(config, fault=fault)
+    rebuilt = type(config)(
+        config.services, config.instances, config.queues, config.bindings,
+        config.fresh_counter, fault,
+    )
+    assert faulty == rebuilt and hash(faulty) == hash(rebuilt)
+    assert faulty != config and hash(faulty) != hash(config)
+
+    inst = config.instances[0]
+    [(_, to)] = inst.edges.ses_inits
+    moved = replace(inst, state=to)
+    assert hash(moved) == hash(Instance(inst.origin, inst.var_map, inst.graph, to))
+    assert hash(moved) != hash(inst)
+    assert moved.edges == inst.graph.successor_table()[to]
+
+
+def test_interleavings_reaching_one_configuration_hash_equal():
+    loaded = load_manifest(ROOT / "corpus/pingpong.cfg")
+    initial = make_initial_config(list(loaded.services), loaded.client)
+    # Breadth-first over every path, without merging equal configurations,
+    # so each path builds its own objects.
+    paths = {(): initial}
+    frontier = [()]
+    for _ in range(6):
+        next_frontier = []
+        for path in frontier:
+            for step in successors(paths[path]):
+                longer = path + (step.render(),)
+                paths[longer] = step.result
+                next_frontier.append(longer)
+        frontier = next_frontier
+    merged = 0
+    for (p1, c1), (p2, c2) in itertools.combinations(paths.items(), 2):
+        if len(p1) == len(p2) and c1.instances == c2.instances and c1.queues == c2.queues:
+            assert c1 is not c2
+            assert c1 == c2 and hash(c1) == hash(c2)
+            merged += 1
+    assert merged > 0
 
 
 # --------------------------------------------------------------------------

@@ -1,0 +1,77 @@
+"""Golden digests of the explorer's observable output.
+
+The digests were recorded from the explorer before its successor tables
+and configuration hashes were cached.  They pin the step order: the
+rules SES1, SES2, INV and REC over the instances, each in edge order,
+which fixes the BFS order, the configuration counts, the verdicts, the
+traces and the exit codes.
+"""
+
+import hashlib
+
+import pytest
+
+from seb.cli import main
+from seb.configs import make_initial_config, successors
+from seb.manifest import load_manifest
+
+from conftest import ROOT
+
+MISMATCH = ("91eb2d84fc12027038892957666228ac078c234bb914085f0546ca20dda51c56", 1)
+PINGPONG = ("47a8960824151b9fbffab5d7395f335ba56dc076d4b83edb8a6ebab48188d43a", 0)
+
+CHECK_TRACE_DIGESTS = {
+    ("fixtures/mismatch.cfg", 10): MISMATCH,
+    ("fixtures/mismatch.cfg", 500): MISMATCH,
+    ("fixtures/mismatch.cfg", 2000): MISMATCH,
+    ("corpus/pingpong.cfg", 10): PINGPONG,
+    ("corpus/pingpong.cfg", 500): PINGPONG,
+    ("corpus/pingpong.cfg", 2000): PINGPONG,
+    ("corpus/looping.cfg", 10): (
+        "a488d316ff2e6a8998756a3edcd8adb89a06fe0dbbd1fb3c731957be6d877679", 4
+    ),
+    ("corpus/looping.cfg", 500): (
+        "354b0e57bb13fa703f96d12c1c820e6f17e93a61261e5178c8fc15ee39af6c71", 4
+    ),
+    ("corpus/looping.cfg", 2000): (
+        "37132cefa3e57573aa71ab0fdac290838cc9fd55426f2bced072519f9270f587", 4
+    ),
+}
+
+# SHA-256 over every ``ConfigStep.render()`` (one per line) that
+# ``successors`` returns for the first 500 configurations of looping.cfg,
+# taken in breadth-first discovery order.
+LOOPING_STEP_RENDERS = "41abc3a893b94ada1a7075c99ede71b07125724d498a4a95660f95c67a1aac09"
+
+
+@pytest.fixture(autouse=True)
+def in_repo_root(monkeypatch):
+    monkeypatch.chdir(ROOT)
+
+
+@pytest.mark.parametrize(
+    "manifest, max_configs", sorted(CHECK_TRACE_DIGESTS), ids=lambda v: str(v)
+)
+def test_check_trace_output_matches_golden(manifest, max_configs, capsys):
+    code = main(["check", manifest, "--trace", "--max-configs", str(max_configs)])
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert (digest, code) == CHECK_TRACE_DIGESTS[(manifest, max_configs)], out
+
+
+def test_successor_renders_in_bfs_order_match_golden():
+    loaded = load_manifest(ROOT / "corpus/looping.cfg")
+    initial = make_initial_config(list(loaded.services), loaded.client)
+    seen = {initial}
+    order = [initial]
+    digest = hashlib.sha256()
+    index = 0
+    while index < min(len(order), 500):
+        for step in successors(order[index]):
+            digest.update(step.render().encode("utf-8") + b"\n")
+            if step.result not in seen:
+                seen.add(step.result)
+                order.append(step.result)
+        index += 1
+    assert index == 500
+    assert digest.hexdigest() == LOOPING_STEP_RENDERS
