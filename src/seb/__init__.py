@@ -1,11 +1,11 @@
 """SeB: parse, validate, compile and analyze orchestration activities."""
 
 from .compiler import build_raw_cg, enabled_steps, state_upper_bound
-from .control import ControlGraph, LinkMap, eval_join, initial_link_map, set_links
+from .control import ControlGraph, LinkMap, eval_join, initial_link_map
 from .parser import parse_activity, parse_activity_file
 from .syntax import pred_pairs, subacts, to_source
 from .transforms import (
-    compile_activity,
+    build_stages,
     compile_stages,
     minimize,
     run_to_completion,
@@ -21,9 +21,9 @@ __all__ = [
     "ControlGraph",
     "LinkMap",
     "build_raw_cg",
+    "build_stages",
     "check_deployable",
     "classify_occurrences",
-    "compile_activity",
     "compile_stages",
     "desugar_seq",
     "enabled_steps",
@@ -36,7 +36,6 @@ __all__ = [
     "parse_activity_file",
     "pred_pairs",
     "run_to_completion",
-    "set_links",
     "state_upper_bound",
     "subacts",
     "tau_compress",

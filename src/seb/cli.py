@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .compiler import StateCapExceeded
@@ -21,7 +20,7 @@ from .configs import Exhausted, Unsafe, Verified, explore_safety, simulate
 from .export import to_aut, to_dot
 from .manifest import ManifestError, load_manifest
 from .parser import SebSyntaxError, parse_activity
-from .transforms import STAGES, check_stage_invariants, compile_stages
+from .transforms import STAGES, build_stages, check_stage_invariants
 from .variables import classify_occurrences
 from .wellformed import validate_well_formed
 
@@ -49,15 +48,10 @@ def _input_error(message: str) -> int:
 
 
 def cmd_validate(args) -> int:
-    def validate_one(path: str):
+    results = []
+    for path in args.files:
         act = _read_activity(path)
-        return act, validate_well_formed(act)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(validate_one, args.files))
-    else:
-        results = [validate_one(path) for path in args.files]
+        results.append((act, validate_well_formed(act)))
 
     status = EXIT_OK
     for path, (act, diagnostics) in zip(args.files, results):
@@ -87,25 +81,27 @@ def cmd_compile(args) -> int:
         return EXIT_DIAGNOSTICS
 
     try:
-        if args.check_properties:
-            reports = check_stage_invariants(act, max_states=args.max_states)
-            failed = False
-            for report in reports:
-                for problem in report.problems:
-                    failed = True
-                    print(f"{args.file}: [{report.stage}] {problem}", file=sys.stderr)
-            if failed:
-                return EXIT_DIAGNOSTICS
-        graph = compile_stages(
+        stages = build_stages(
             act,
-            args.stage,
-            rtc_before_compress=args.rtc_before_compress,
-            keep_payloads=args.keep_payloads,
+            "min" if args.check_properties else args.stage,
+            from_raw=args.check_properties,
             max_states=args.max_states,
         )
     except StateCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+
+    if args.check_properties:
+        failed = False
+        for report in check_stage_invariants(act, stages):
+            for problem in report.problems:
+                failed = True
+                print(f"{args.file}: [{report.stage}] {problem}", file=sys.stderr)
+        if failed:
+            return EXIT_DIAGNOSTICS
+    graph = stages[args.stage]
+    if not args.keep_payloads:
+        graph = graph.without_payloads()
 
     text = to_dot(graph, show_payloads=args.keep_payloads) if args.format == "dot" else to_aut(graph)
     if args.output:
@@ -187,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check well-formedness of activity files")
     p.add_argument("files", nargs="+")
     p.add_argument("--report-vars", action="store_true", help="print variable reports")
-    p.add_argument("--jobs", type=int, default=1, help="validate files concurrently")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("compile", help="compile an activity to a control graph")
@@ -199,11 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--check-properties",
         action="store_true",
         help="verify structural properties and stage invariants first",
-    )
-    p.add_argument(
-        "--rtc-before-compress",
-        action="store_true",
-        help="apply run-to-completion pruning before compression",
     )
     p.add_argument(
         "--keep-payloads",

@@ -283,9 +283,14 @@ class ConfigurationError(Exception):
 
 
 def make_service(
-    name: str, var_map: dict[str, Value | None], pic: Activity, graph: ControlGraph
+    name: str,
+    var_map: dict[str, Value | None],
+    pic: Activity,
+    graph: ControlGraph,
+    free: frozenset[str] | None = None,
 ) -> DeployableService:
-    problems = check_deployable(var_map, pic)
+    """Validate and build a deployable service; ``free`` as in ``check_deployable``."""
+    problems = check_deployable(var_map, pic, free)
     if not isinstance(var_map.get(OWN_LOCATION), ServiceLoc):
         problems = problems + [
             Diagnostic(

@@ -147,10 +147,6 @@ def eval_join(c: LinkMap, expr: JoinExpr, targets) -> LinkValue:
     return ev(expr)
 
 
-def set_links(c: LinkMap, value: LinkValue, links) -> LinkMap:
-    return c.set_links(value, links)
-
-
 # --------------------------------------------------------------------------
 # Symbolic actions
 

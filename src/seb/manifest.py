@@ -24,10 +24,11 @@ from .configs import (
     make_client,
     make_service,
 )
-from .parser import Atom, Node, SList, Str, SebSyntaxError, read_forms
+from .control import ControlGraph
+from .parser import Atom, Node, SList, Str, SebSyntaxError, parse_activity, read_forms
 from .syntax import OWN_LOCATION
-from .transforms import compile_stages
-from .variables import classify_occurrences
+from .transforms import build_stages
+from .variables import classify_occurrences, free_vars_of_graph
 from .wellformed import validate_well_formed
 
 
@@ -91,8 +92,6 @@ def _load_activity(base: Path, node: Node):
     path = base / node.text
     if not path.exists():
         raise ManifestError(f"activity file not found: {path}")
-    from .parser import parse_activity
-
     try:
         act = parse_activity(path.read_text(encoding="utf-8"))
     except SebSyntaxError as exc:
@@ -103,6 +102,24 @@ def _load_activity(base: Path, node: Node):
             f"{path}: " + "; ".join(str(d) for d in problems)
         )
     return act
+
+
+def _compile_entry(
+    act, bindings: dict[str, Value], own: set[str]
+) -> tuple[dict[str, Value | None], str, frozenset[str], ControlGraph]:
+    """Compile an entry's activity once and build its variable map.
+
+    Returns the map with ``bindings`` applied, the bound variables that do
+    not occur, the free variables and the minimal graph.
+    """
+    stages = build_stages(act)
+    free = free_vars_of_graph(stages["compress"])
+    var_map: dict[str, Value | None] = {
+        v: None for v in classify_occurrences(act, free).all_vars | own
+    }
+    unknown = ", ".join(sorted(set(bindings) - set(var_map)))
+    var_map.update(bindings)
+    return var_map, unknown, free, stages["min"]
 
 
 def load_manifest(path) -> LoadedManifest:
@@ -134,22 +151,14 @@ def load_manifest(path) -> LoadedManifest:
             bindings = _parse_bindings(binds)
             if OWN_LOCATION in bindings:
                 raise _err(form, f"bind '{OWN_LOCATION}' through :at, not :bind")
-            report = classify_occurrences(act)
-            var_map: dict[str, Value | None] = {
-                v: None for v in report.all_vars | {OWN_LOCATION}
-            }
-            unknown = set(bindings) - set(var_map)
+            var_map, unknown, free, graph = _compile_entry(act, bindings, {OWN_LOCATION})
             if unknown:
                 raise _err(
-                    form,
-                    f"service '{name}' binds unknown variables: "
-                    + ", ".join(sorted(unknown)),
+                    form, f"service '{name}' binds unknown variables: {unknown}"
                 )
-            var_map.update(bindings)
             var_map[OWN_LOCATION] = ServiceLoc(at_node.text)
-            graph = compile_stages(act, "min")
             try:
-                services.append(make_service(name, var_map, act, graph))
+                services.append(make_service(name, var_map, act, graph, free))
             except ConfigurationError as exc:
                 raise ManifestError(
                     f"service '{name}' is not deployable: {exc}"
@@ -169,15 +178,9 @@ def load_manifest(path) -> LoadedManifest:
         raise _err(client_form, "client entries need :file")
     act = _load_activity(base, keyed[":file"])
     bindings = _parse_bindings(binds)
-    report = classify_occurrences(act)
-    var_map = {v: None for v in report.all_vars}
-    unknown = set(bindings) - set(var_map)
+    var_map, unknown, _, graph = _compile_entry(act, bindings, set())
     if unknown:
-        raise ManifestError(
-            "client binds unknown variables: " + ", ".join(sorted(unknown))
-        )
-    var_map.update(bindings)
-    graph = compile_stages(act, "min")
+        raise ManifestError(f"client binds unknown variables: {unknown}")
     try:
         client = make_client(var_map, act, graph, services)
     except ConfigurationError as exc:

@@ -247,21 +247,11 @@ def fields_tgt(act: Activity) -> frozenset[str]:
 
 def all_sources(act: Activity, strict: bool = False) -> frozenset[str]:
     """Union of ``src`` declarations over the (strict) subactivity set."""
-    if strict:
-        links: frozenset[str] = frozenset()
-        for child in child_nodes(act):
-            links |= _sources_cached(child)
-        return links
-    return _sources_cached(act)
+    return _links_below(act, "src", "_srcs", strict)
 
 
 def all_targets(act: Activity, strict: bool = False) -> frozenset[str]:
-    if strict:
-        links: frozenset[str] = frozenset()
-        for child in child_nodes(act):
-            links |= _targets_cached(child)
-        return links
-    return _targets_cached(act)
+    return _links_below(act, "tgt", "_tgts", strict)
 
 
 def all_links(act: Activity) -> frozenset[str]:
@@ -328,79 +318,53 @@ def to_source(act: Activity) -> str:
 
     Internal unfold nodes have no concrete syntax and are rejected.
     """
-    match act:
-        case Nil():
-            return "(nil)"
-        case Ses(s, p):
-            return f"(ses {s} {p}{_common_fields(act)})"
-        case Inv(s, op, args):
-            args_s = f" ({' '.join(args)})" if args else ""
-            return f"(inv {s} {op}{args_s}{_common_fields(act)})"
-        case Rec(s, op, params):
-            params_s = f" ({' '.join(params)})" if params else ""
-            return f"(rec {s} {op}{params_s}{_common_fields(act)})"
-        case Seq(children):
-            body = " ".join(to_source(c) for c in children)
-            return f"(seq{_common_fields(act)} {body})"
-        case Flo(children):
-            body = " ".join(to_source(c) for c in children)
-            return f"(flo{_common_fields(act)} {body})"
-        case Pic(branches):
-            body = " ".join(
-                f"(on {to_source(h)} {to_source(c)})" for h, c in branches
-            )
-            return f"(pic{_common_fields(act)} {body})"
-        case Rep(do_pic, until_pic):
-            return (
-                f"(rep{_common_fields(act)} (do {to_source(do_pic)})"
-                f" (until {to_source(until_pic)}))"
-            )
-        case Unf():
-            raise ValueError("internal unfold activity has no concrete syntax")
-    raise TypeError(f"not an activity: {act!r}")
-
-
-def _compute_render(act: Activity) -> str:
-    match act:
-        case Nil():
-            return "(nil)"
-        case Ses(s, p):
-            return f"(ses {s} {p}{_common_fields(act)})"
-        case Inv(s, op, args):
-            args_s = f" ({' '.join(args)})" if args else ""
-            return f"(inv {s} {op}{args_s}{_common_fields(act)})"
-        case Rec(s, op, params):
-            params_s = f" ({' '.join(params)})" if params else ""
-            return f"(rec {s} {op}{params_s}{_common_fields(act)})"
-        case Seq(children):
-            body = " ".join(render(c) for c in children)
-            return f"(seq{_common_fields(act)} {body})"
-        case Flo(children):
-            body = " ".join(render(c) for c in children)
-            return f"(flo{_common_fields(act)} {body})"
-        case Pic(branches):
-            body = " ".join(f"(on {render(h)} {render(c)})" for h, c in branches)
-            return f"(pic{_common_fields(act)} {body})"
-        case Rep(do_pic, until_pic):
-            return (
-                f"(rep{_common_fields(act)} (do {render(do_pic)})"
-                f" (until {render(until_pic)}))"
-            )
-        case Unf(body, do_pic, until_pic):
-            return (
-                f"(unf{_common_fields(act)} (do {render(body)})"
-                f" (then {render(do_pic)}) (until {render(until_pic)}))"
-            )
-    raise TypeError(f"not an activity: {act!r}")
+    if isinstance(act, Unf):
+        raise ValueError("internal unfold activity has no concrete syntax")
+    return _print(act, to_source)
 
 
 def render(act: Activity) -> str:
     """Canonical rendering, cached per node; total (covers unfoldings too)."""
     key = act.__dict__.get("_render")
     if key is None:
-        key = _compute_render(act)
+        key = _print(act, render)
         object.__setattr__(act, "_render", key)
     return key
+
+
+def _print(act: Activity, child) -> str:
+    """The printer behind both; ``child`` prints the subactivities."""
+    match act:
+        case Nil():
+            return "(nil)"
+        case Ses(s, p):
+            return f"(ses {s} {p}{_common_fields(act)})"
+        case Inv(s, op, args):
+            args_s = f" ({' '.join(args)})" if args else ""
+            return f"(inv {s} {op}{args_s}{_common_fields(act)})"
+        case Rec(s, op, params):
+            params_s = f" ({' '.join(params)})" if params else ""
+            return f"(rec {s} {op}{params_s}{_common_fields(act)})"
+        case Seq(children):
+            body = " ".join(child(c) for c in children)
+            return f"(seq{_common_fields(act)} {body})"
+        case Flo(children):
+            body = " ".join(child(c) for c in children)
+            return f"(flo{_common_fields(act)} {body})"
+        case Pic(branches):
+            body = " ".join(f"(on {child(h)} {child(c)})" for h, c in branches)
+            return f"(pic{_common_fields(act)} {body})"
+        case Rep(do_pic, until_pic):
+            return (
+                f"(rep{_common_fields(act)} (do {child(do_pic)})"
+                f" (until {child(until_pic)}))"
+            )
+        case Unf(body, do_pic, until_pic):
+            return (
+                f"(unf{_common_fields(act)} (do {child(body)})"
+                f" (then {child(do_pic)}) (until {child(until_pic)}))"
+            )
+    raise TypeError(f"not an activity: {act!r}")
 
 
 _KIND_RANK = {
@@ -474,21 +438,18 @@ for _cls in _ACTIVITY_CLASSES:
     _cls.__hash__ = _activity_hash  # type: ignore[assignment]
 
 
-def _sources_cached(act: Activity) -> frozenset[str]:
-    links = act.__dict__.get("_srcs")
+def _links_below(
+    act: Activity, field: str, memo: str, strict: bool = False
+) -> frozenset[str]:
+    """Union of one link field over the (strict) subtree, cached per node."""
+    if strict:
+        return frozenset().union(
+            *(_links_below(child, field, memo) for child in child_nodes(act))
+        )
+    links = act.__dict__.get(memo)
     if links is None:
-        links = fields_src(act)
+        links = getattr(act, field, NO_LINKS)
         for child in child_nodes(act):
-            links |= _sources_cached(child)
-        object.__setattr__(act, "_srcs", links)
-    return links
-
-
-def _targets_cached(act: Activity) -> frozenset[str]:
-    links = act.__dict__.get("_tgts")
-    if links is None:
-        links = fields_tgt(act)
-        for child in child_nodes(act):
-            links |= _targets_cached(child)
-        object.__setattr__(act, "_tgts", links)
+            links |= _links_below(child, field, memo)
+        object.__setattr__(act, memo, links)
     return links

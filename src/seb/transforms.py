@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .compiler import (
     build_prioritized_cg,
     build_raw_cg,
+    check_raw_properties,
     find_confluence_violation,
     find_tau_cycle,
 )
@@ -35,19 +36,33 @@ class TransformPreconditionError(Exception):
     pass
 
 
-def _check_confluent_loop_free(g: ControlGraph, stage: str) -> None:
-    cycle = find_tau_cycle(g)
-    if cycle is not None:
-        raise TransformPreconditionError(
-            f"{stage}: input contains a silent cycle through states {cycle}"
-        )
-    violation = find_confluence_violation(g)
-    if violation is not None:
-        state, g1, action, g2 = violation
-        raise TransformPreconditionError(
-            f"{stage}: silent step {state}->{g1} does not commute with "
-            f"{action.render()} {state}->{g2}"
-        )
+def _is_tau(action: Action) -> bool:
+    return action == TAU
+
+
+def _keep_highest(g: ControlGraph, rank) -> ControlGraph:
+    """Keep, at every state, only the outgoing transitions of highest rank.
+
+    States made unreachable by the pruning are dropped.
+    """
+    out = g.outgoing()
+    kept = []
+    for state in g.states:
+        if out[state]:
+            best = max(rank(action) for action, _ in out[state])
+            kept += [(state, a, to) for a, to in out[state] if rank(a) == best]
+    return renumber_bfs(
+        ControlGraph(g.num_states, g.init, sorted_transitions(kept), g.payloads)
+    )
+
+
+def _mixed_states(g: ControlGraph, rank) -> list[int]:
+    """States whose outgoing transitions have more than one rank."""
+    return [
+        state
+        for state, edges in enumerate(g.outgoing())
+        if len({rank(action) for action, _ in edges}) > 1
+    ]
 
 
 def tau_prioritize(g: ControlGraph, validate: bool = True) -> ControlGraph:
@@ -59,18 +74,19 @@ def tau_prioritize(g: ControlGraph, validate: bool = True) -> ControlGraph:
     observable alternatives preserves branching equivalence.
     """
     if validate:
-        _check_confluent_loop_free(g, "tau_prioritize")
-    out = g.outgoing()
-    kept = []
-    for state in g.states:
-        has_tau = any(action == TAU for action, _ in out[state])
-        for action, to in out[state]:
-            if has_tau and action != TAU:
-                continue
-            kept.append((state, action, to))
-    return renumber_bfs(
-        ControlGraph(g.num_states, g.init, sorted_transitions(kept), g.payloads)
-    )
+        cycle = find_tau_cycle(g)
+        if cycle is not None:
+            raise TransformPreconditionError(
+                f"tau_prioritize: input contains a silent cycle through states {cycle}"
+            )
+        violation = find_confluence_violation(g)
+        if violation is not None:
+            state, g1, action, g2 = violation
+            raise TransformPreconditionError(
+                f"tau_prioritize: silent step {state}->{g1} does not commute with "
+                f"{action.render()} {state}->{g2}"
+            )
+    return _keep_highest(g, _is_tau)
 
 
 def tau_compress(g: ControlGraph) -> ControlGraph:
@@ -86,13 +102,12 @@ def tau_compress(g: ControlGraph) -> ControlGraph:
         raise TransformPreconditionError(
             f"tau_compress: silent cycle through states {cycle}"
         )
+    mixed = _mixed_states(g, _is_tau)
+    if mixed:
+        raise TransformPreconditionError(
+            f"tau_compress: state {mixed[0]} mixes silent and observable transitions"
+        )
     out = g.outgoing()
-    for state in g.states:
-        labels = {action == TAU for action, _ in out[state]}
-        if len(labels) > 1:
-            raise TransformPreconditionError(
-                f"tau_compress: state {state} mixes silent and observable transitions"
-            )
 
     @functools.lru_cache(maxsize=None)
     def endpoint(state: int) -> int:
@@ -126,18 +141,7 @@ def run_to_completion(g: ControlGraph) -> ControlGraph:
     Priority: silent > send > session-init > receive.  States made
     unreachable by the pruning are dropped.
     """
-    out = g.outgoing()
-    kept = []
-    for state in g.states:
-        if not out[state]:
-            continue
-        best = max(action_priority(action) for action, _ in out[state])
-        for action, to in out[state]:
-            if action_priority(action) == best:
-                kept.append((state, action, to))
-    return renumber_bfs(
-        ControlGraph(g.num_states, g.init, sorted_transitions(kept), g.payloads)
-    )
+    return _keep_highest(g, action_priority)
 
 
 # --------------------------------------------------------------------------
@@ -183,73 +187,57 @@ def minimize(g: ControlGraph) -> ControlGraph:
 STAGES = ("raw", "prio", "compress", "rtc", "min")
 
 
+def build_stages(
+    act: Activity,
+    upto: str = "min",
+    *,
+    from_raw: bool = False,
+    max_states: int | None = None,
+) -> dict[str, ControlGraph]:
+    """Build each stage up to ``upto`` once, in order; return them by name.
+
+    The raw closure runs only when ``upto`` is "raw" or ``from_raw`` is
+    set, and the prioritized stage is then pruned from it.  Otherwise the
+    fused construction builds that stage without ever expanding the
+    successors prioritization would discard; both give the same graph
+    (asserted in the tests).  Every stage keeps the payloads it has.
+    """
+    if upto not in STAGES:
+        raise ValueError(f"unknown stage '{upto}', expected one of {STAGES}")
+    kwargs = {} if max_states is None else {"max_states": max_states}
+    stages: dict[str, ControlGraph] = {}
+    if upto == "raw" or from_raw:
+        stages["raw"] = build_raw_cg(act, **kwargs)
+    if upto == "raw":
+        return stages
+    if from_raw:
+        g = tau_prioritize(stages["raw"], validate=False)
+    else:
+        g = build_prioritized_cg(act, **kwargs)
+    stages["prio"] = g
+    # Named per call, so wrappers installed on this module (as the
+    # benchmark's tracer does) see every stage.
+    reductions = (tau_compress, run_to_completion, minimize)
+    for name, reduce in zip(STAGES[2 : STAGES.index(upto) + 1], reductions):
+        g = stages[name] = reduce(g)
+    return stages
+
+
 def compile_stages(
     act: Activity,
     upto: str = "min",
     *,
-    rtc_before_compress: bool = False,
     keep_payloads: bool = False,
     max_states: int | None = None,
-    validate: bool = False,
 ) -> ControlGraph:
-    """Run the pipeline up to the requested stage.
+    """The control graph of one stage of the pipeline.
 
     Payloads are dropped from the result unless ``keep_payloads``;
     minimization always discards them because it merges states that
     differ only by payload.
     """
-    if upto not in STAGES:
-        raise ValueError(f"unknown stage '{upto}', expected one of {STAGES}")
-    kwargs = {} if max_states is None else {"max_states": max_states}
-    if upto == "raw" or validate:
-        g = build_raw_cg(act, **kwargs)
-    if upto != "raw":
-        if validate:
-            g = tau_prioritize(g, validate=True)
-        else:
-            # Fused construction: never expands the successors that
-            # prioritization would discard (asserted equal in tests).
-            g = build_prioritized_cg(act, **kwargs)
-        if upto != "prio":
-            if rtc_before_compress:
-                if upto in ("rtc", "min"):
-                    g = run_to_completion(g)
-                g = tau_compress(g)
-            else:
-                g = tau_compress(g)
-                if upto in ("rtc", "min"):
-                    g = run_to_completion(g)
-            if upto == "min":
-                g = minimize(g)
-    if not keep_payloads:
-        g = g.without_payloads()
-    return g
-
-
-@functools.lru_cache(maxsize=256)
-def compile_activity(act: Activity) -> ControlGraph:
-    """The fully reduced control graph: compressed, pruned and minimal."""
-    return compile_stages(act, "min")
-
-
-def init_state(act: Activity) -> int:
-    return compile_activity(act).init
-
-
-def states(act: Activity) -> range:
-    return compile_activity(act).states
-
-
-def transitions(act: Activity) -> tuple:
-    return compile_activity(act).transitions
-
-
-def terminal_state(act: Activity) -> int:
-    """The unique sink of the compiled graph."""
-    sinks = compile_activity(act).sinks()
-    if len(sinks) != 1:
-        raise AssertionError(f"compiled graph has {len(sinks)} sinks, expected one")
-    return sinks[0]
+    g = build_stages(act, upto, max_states=max_states)[upto]
+    return g if keep_payloads else g.without_payloads()
 
 
 # --------------------------------------------------------------------------
@@ -262,40 +250,34 @@ class StageReport:
     problems: tuple[str, ...]
 
 
-def check_stage_invariants(act: Activity, *, max_states: int | None = None) -> list[StageReport]:
-    """Run the pipeline and verify each stage's structural guarantee."""
-    from .compiler import check_raw_properties
+def check_stage_invariants(
+    act: Activity, stages: dict[str, ControlGraph]
+) -> list[StageReport]:
+    """Verify each stage's structural guarantee.
 
-    kwargs = {} if max_states is None else {"max_states": max_states}
-    reports = []
-    raw = build_raw_cg(act, **kwargs)
-    reports.append(StageReport("raw", tuple(check_raw_properties(act, raw))))
+    ``stages`` holds every stage of ``act``, as built by
+    ``build_stages(act, from_raw=True)``.
+    """
+    reports = [StageReport("raw", tuple(check_raw_properties(act, stages["raw"])))]
 
-    prio = tau_prioritize(raw)
-    problems = []
-    out = prio.outgoing()
-    for state in prio.states:
-        kinds = {action == TAU for action, _ in out[state]}
-        if len(kinds) > 1:
-            problems.append(f"state {state} mixes silent and observable transitions")
+    problems = [
+        f"state {state} mixes silent and observable transitions"
+        for state in _mixed_states(stages["prio"], _is_tau)
+    ]
     reports.append(StageReport("prio", tuple(problems)))
 
-    compressed = tau_compress(prio)
     problems = []
-    if any(a == TAU for _, a, _ in compressed.transitions):
+    if any(a == TAU for _, a, _ in stages["compress"].transitions):
         problems.append("silent transition survived compression")
     reports.append(StageReport("compress", tuple(problems)))
 
-    rtc = run_to_completion(compressed)
-    problems = []
-    out = rtc.outgoing()
-    for state in rtc.states:
-        classes = {action_priority(action) for action, _ in out[state]}
-        if len(classes) > 1:
-            problems.append(f"state {state} keeps several priority classes")
+    problems = [
+        f"state {state} keeps several priority classes"
+        for state in _mixed_states(stages["rtc"], action_priority)
+    ]
     reports.append(StageReport("rtc", tuple(problems)))
 
-    minimal = minimize(rtc)
+    minimal = stages["min"]
     problems = []
     block = refine_partition(minimal)
     if len(set(block)) != minimal.num_states:

@@ -71,8 +71,11 @@ def action_usages(action: Action) -> frozenset[str]:
             return frozenset()
 
 
-def classify_occurrences(act: Activity) -> VarReport:
-    """Binding/usage occurrence sets plus forbidden-occurrence diagnostics."""
+def classify_occurrences(act: Activity, free: frozenset[str] | None = None) -> VarReport:
+    """Binding/usage occurrence sets plus forbidden-occurrence diagnostics.
+
+    ``free`` is ``free_vars(act)``, computed here when not given.
+    """
     all_vars: set[str] = set()
     binding: set[str] = set()
     usage: set[str] = set()
@@ -117,7 +120,7 @@ def classify_occurrences(act: Activity) -> VarReport:
         all_vars=frozenset(all_vars),
         binding=frozenset(binding),
         usage=frozenset(usage),
-        free=free_vars(act),
+        free=free_vars(act) if free is None else free,
         forbidden=tuple(sort_diagnostics(forbidden)),
     )
 
@@ -155,18 +158,14 @@ def free_vars_of_graph(g: ControlGraph) -> frozenset[str]:
     return frozenset(free)
 
 
-def analysis_graph(act: Activity) -> ControlGraph:
-    """Compressed control graph with every schedule still present.
-
-    Built through the fused prioritized exploration; the silent steps it
-    skips never carry variable occurrences, and the stages are
-    equivalence-preserving, so freeness is unaffected.
-    """
-    return tau_compress(build_prioritized_cg(act))
-
-
 def free_vars(act: Activity) -> frozenset[str]:
-    return free_vars_of_graph(analysis_graph(act))
+    """Free variables of ``act``, read off its compressed control graph.
+
+    The silent steps that prioritization skips carry no variable
+    occurrences and compression preserves equivalence, so freeness is
+    unaffected.
+    """
+    return free_vars_of_graph(tau_compress(build_prioritized_cg(act)))
 
 
 def open_for_reception(g: ControlGraph, state: int, s: str) -> bool:
@@ -183,7 +182,9 @@ def open_for_reception(g: ControlGraph, state: int, s: str) -> bool:
 # Deployability
 
 
-def check_deployable(var_map: dict, pic: Activity) -> list[Diagnostic]:
+def check_deployable(
+    var_map: dict, pic: Activity, free: frozenset[str] | None = None
+) -> list[Diagnostic]:
     """Whether (map, pic) can be deployed as a service factory.
 
     The activity must be a pick whose every branch starts by receiving on
@@ -192,7 +193,8 @@ def check_deployable(var_map: dict, pic: Activity) -> list[Diagnostic]:
     own location, define every free variable (the root session aside, it
     is bound at instantiation) and leave every non-free one undefined.
     The own location is implicitly free: it is the address the service is
-    reachable at, whether or not the behavior mentions it.
+    reachable at, whether or not the behavior mentions it.  ``free`` is
+    ``free_vars(pic)``, computed here when not given.
     """
     out: list[Diagnostic] = []
 
@@ -211,7 +213,7 @@ def check_deployable(var_map: dict, pic: Activity) -> list[Diagnostic]:
                 )
             )
 
-    report = classify_occurrences(pic)
+    report = classify_occurrences(pic, free)
     kinds, _ = infer_kinds(pic)
     free = report.free
 

@@ -90,12 +90,10 @@ def test_validate_report_vars(capsys):
     assert "msg" in out
 
 
-def test_validate_multiple_files_with_jobs(capsys):
+def test_validate_multiple_files(capsys):
     code = main(
         [
             "validate",
-            "--jobs",
-            "2",
             "corpus/pingpong_client.seb",
             "corpus/pingpong_service.seb",
         ]
@@ -270,23 +268,6 @@ def test_simulate_byte_identical_across_runs():
     two = run_cli("simulate", "corpus/pingpong.cfg", "--steps", "8", "--seed", "42")
     assert one.stdout == two.stdout
     assert one.returncode == two.returncode == 0
-
-
-def test_compile_rtc_before_compress_flag(capsys):
-    code = main(
-        [
-            "compile",
-            "corpus/quotecomparer.seb",
-            "--stage",
-            "min",
-            "--rtc-before-compress",
-        ]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    from seb.export import from_aut
-
-    assert len(from_aut(out).sinks()) == 1
 
 
 def test_simulate_reports_quiescence(capsys):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from seb.control import LinkMap, eval_join, set_links
+from seb.control import LinkMap, eval_join
 from seb.syntax import And, LinkRef, Lit, Not, Or, TRUE
 
 # --------------------------------------------------------------------------
@@ -40,22 +40,22 @@ def test_not_operator():
 
 def test_set_single_link():
     c = LinkMap.of({"l": None})
-    assert set_links(c, True, {"l"}) == LinkMap.of({"l": True})
+    assert c.set_links(True, {"l"}) == LinkMap.of({"l": True})
 
 
 def test_empty_substitution_is_identity():
     c = LinkMap.of({"l": True})
-    assert set_links(c, False, set()) is c
+    assert c.set_links(False, set()) is c
 
 
 def test_set_many():
     c = LinkMap.of({"l": True, "m": None})
-    assert set_links(c, False, {"l", "m"}) == LinkMap.of({"l": False, "m": False})
+    assert c.set_links(False, {"l", "m"}) == LinkMap.of({"l": False, "m": False})
 
 
 def test_outside_domain_rejected():
     with pytest.raises(ValueError):
-        set_links(LinkMap.of({"l": None}), True, {"zz"})
+        LinkMap.of({"l": None}).set_links(True, {"zz"})
 
 
 # --------------------------------------------------------------------------
@@ -99,8 +99,8 @@ def test_set_links_is_idempotent(data):
     c = data.draw(link_maps())
     names = data.draw(st.sets(st.sampled_from(sorted(c.domain())), max_size=3))
     value = data.draw(values)
-    once = set_links(c, value, names)
-    assert set_links(once, value, names) == once
+    once = c.set_links(value, names)
+    assert once.set_links(value, names) == once
 
 
 @given(st.data())

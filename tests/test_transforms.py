@@ -1,22 +1,20 @@
 import pytest
 
-from seb.compiler import build_raw_cg
+from seb.compiler import build_prioritized_cg, build_raw_cg
 from seb.control import ControlGraph, Recv, Send, SesInit, TAU, sorted_transitions
 from seb.export import from_aut, to_aut, to_dot
 from seb.parser import parse_activity, parse_activity_file
 from seb.syntax import Inv, Nil
 from seb.transforms import (
     TransformPreconditionError,
+    build_stages,
     check_stage_invariants,
-    compile_activity,
     compile_stages,
-    init_state,
     minimize,
     refine_partition,
     run_to_completion,
     tau_compress,
     tau_prioritize,
-    terminal_state,
 )
 
 from conftest import corpus_activities
@@ -163,14 +161,14 @@ def test_minimized_partition_is_discrete():
 
 
 def test_nil_compiles_to_a_point():
-    g = compile_activity(Nil())
+    g = compile_stages(Nil(), "min")
     assert g.num_states == 1
     assert g.transitions == ()
-    assert init_state(Nil()) == terminal_state(Nil())
+    assert g.sinks() == [g.init]
 
 
 def test_atom_compiles_to_one_edge():
-    g = compile_activity(Inv("s", "op", ("x",)))
+    g = compile_stages(Inv("s", "op", ("x",)), "min")
     assert g.num_states == 2
     assert g.transitions == ((0, Send("s", "op", ("x",)), 1),)
 
@@ -183,7 +181,8 @@ def test_every_corpus_activity_has_a_single_sink(path):
 
 def test_stage_invariants_hold_on_random_activities():
     for n, (act, _) in enumerate(small_random_activities(25)):
-        for report in check_stage_invariants(act, max_states=20000):
+        stages = build_stages(act, from_raw=True, max_states=20000)
+        for report in check_stage_invariants(act, stages):
             assert report.problems == (), (n, report)
 
 
@@ -205,13 +204,14 @@ def test_compiled_traces_are_a_subset_of_raw_traces():
         checked += 1
 
 
-def test_rtc_before_compress_flag_gives_equivalent_verdicts():
-    for seed in range(30):
-        act = random_activity(seed, depth=3)
-        one = compile_stages(act, "min")
-        other = compile_stages(act, "min", rtc_before_compress=True)
-        assert one.num_states == other.num_states, seed
-        assert len(one.sinks()) == len(other.sinks()) == 1
+def test_rtc_commutes_with_compression():
+    subjects = [parse_activity_file(p) for p in corpus_activities()]
+    subjects += [random_activity(seed, depth=3) for seed in range(200)]
+    for n, act in enumerate(subjects):
+        p = build_prioritized_cg(act)
+        assert to_aut(run_to_completion(tau_compress(p))) == to_aut(
+            tau_compress(run_to_completion(p))
+        ), n
 
 
 # --------------------------------------------------------------------------
