@@ -33,12 +33,10 @@ EXIT_EXHAUSTED = 4
 
 def _read_activity(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return parse_activity(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise SystemExit(_input_error(f"{path}: {exc.strerror or exc}"))
-    try:
-        return parse_activity(text)
-    except SebSyntaxError as exc:
+    except (SebSyntaxError, UnicodeDecodeError) as exc:
         raise SystemExit(_input_error(f"{path}: {exc}"))
 
 
@@ -105,7 +103,10 @@ def cmd_compile(args) -> int:
 
     text = to_dot(graph, show_payloads=args.keep_payloads) if args.format == "dot" else to_aut(graph)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            return _input_error(f"{args.output}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -38,6 +38,7 @@ from .control import (
     SesInit,
     TAU,
     eval_join,
+    find_cycle,
     initial_link_map,
     sorted_transitions,
 )
@@ -304,30 +305,7 @@ def find_tau_cycle(g: ControlGraph) -> list[int] | None:
     for frm, action, to in g.transitions:
         if action == TAU:
             tau_out.setdefault(frm, []).append(to)
-
-    state: dict[int, int] = {}
-    trail: list[int] = []
-
-    def dfs(node: int) -> list[int] | None:
-        state[node] = 1
-        trail.append(node)
-        for succ in tau_out.get(node, ()):
-            if state.get(succ, 0) == 1:
-                return trail[trail.index(succ) :] + [succ]
-            if state.get(succ, 0) == 0:
-                found = dfs(succ)
-                if found is not None:
-                    return found
-        state[node] = 2
-        trail.pop()
-        return None
-
-    for start in sorted(tau_out):
-        if state.get(start, 0) == 0:
-            found = dfs(start)
-            if found is not None:
-                return found
-    return None
+    return find_cycle(sorted(tau_out), tau_out)
 
 
 def find_confluence_violation(g: ControlGraph):

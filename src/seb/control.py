@@ -336,3 +336,36 @@ def renumber_bfs(g: ControlGraph) -> ControlGraph:
         inverse = {new: old for old, new in order.items()}
         payloads = tuple(g.payloads[inverse[i]] for i in range(len(order)))
     return ControlGraph(len(order), 0, transitions, payloads)
+
+
+def find_cycle(starts, successors) -> list | None:
+    """The first cycle a depth-first search meets, closed ``[n, ..., n]``.
+
+    Searches from each of ``starts`` in turn, skipping nodes an earlier
+    start has finished, and visits each node's successors in the order
+    the mapping ``successors`` lists them (none when it has no entry).
+    Iterative, so the path length is not bounded by the interpreter's
+    recursion limit.  Returns None when there is no cycle.
+    """
+    ON_TRAIL, FINISHED = 1, 2
+    state: dict = {}
+    for start in starts:
+        if start in state:
+            continue
+        state[start] = ON_TRAIL
+        trail = [start]
+        pending = [iter(successors.get(start, ()))]
+        while pending:
+            for succ in pending[-1]:
+                seen = state.get(succ)
+                if seen == ON_TRAIL:
+                    return trail[trail.index(succ) :] + [succ]
+                if seen is None:
+                    state[succ] = ON_TRAIL
+                    trail.append(succ)
+                    pending.append(iter(successors.get(succ, ())))
+                    break
+            else:
+                pending.pop()
+                state[trail.pop()] = FINISHED
+    return None

@@ -94,7 +94,9 @@ def _load_activity(base: Path, node: Node):
         raise ManifestError(f"activity file not found: {path}")
     try:
         act = parse_activity(path.read_text(encoding="utf-8"))
-    except SebSyntaxError as exc:
+    except OSError as exc:
+        raise ManifestError(f"{path}: {exc.strerror or exc}") from exc
+    except (SebSyntaxError, UnicodeDecodeError) as exc:
         raise ManifestError(f"{path}: {exc}") from exc
     problems = validate_well_formed(act)
     if problems:
@@ -126,7 +128,7 @@ def load_manifest(path) -> LoadedManifest:
     path = Path(path)
     try:
         forms = read_forms(path.read_text(encoding="utf-8"))
-    except SebSyntaxError as exc:
+    except (SebSyntaxError, UnicodeDecodeError) as exc:
         raise ManifestError(f"{path}: {exc}") from exc
 
     base = path.parent

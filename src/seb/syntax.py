@@ -264,18 +264,29 @@ def all_links(act: Activity) -> frozenset[str]:
     return frozenset(links)
 
 
+def link_table(subs: dict[Path, Activity], field: str) -> dict[str, list[Path]]:
+    """Per link name, the paths in ``subs`` that declare it in ``field``.
+
+    ``field`` is "src", "tgt" or "lnk"; each list follows the order of
+    ``subs``.
+    """
+    table: dict[str, list[Path]] = {}
+    for path, sub in subs.items():
+        for link in getattr(sub, field, NO_LINKS):
+            table.setdefault(link, []).append(path)
+    return table
+
+
 def pred_pairs(act: Activity) -> set[tuple[Path, Path]]:
-    """Precedence pairs: link source-to-target plus adjacency inside a seq."""
+    """Precedence pairs: each link's sources to its targets, plus seq adjacency."""
     subs = subacts(act)
-    pairs: set[tuple[Path, Path]] = set()
-    paths = list(subs)
-    for p1 in paths:
-        src1 = fields_src(subs[p1])
-        if not src1:
-            continue
-        for p2 in paths:
-            if src1 & fields_tgt(subs[p2]):
-                pairs.add((p1, p2))
+    by_tgt = link_table(subs, "tgt")
+    pairs = {
+        (source, target)
+        for link, sources in link_table(subs, "src").items()
+        for source in sources
+        for target in by_tgt.get(link, ())
+    }
     for path, sub in subs.items():
         if isinstance(sub, Seq):
             for i in range(len(sub.children) - 1):

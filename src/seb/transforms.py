@@ -8,7 +8,6 @@ of silent cycles and confluent; pruning deliberately discards schedules.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .compiler import (
@@ -108,13 +107,20 @@ def tau_compress(g: ControlGraph) -> ControlGraph:
             f"tau_compress: state {mixed[0]} mixes silent and observable transitions"
         )
     out = g.outgoing()
+    ends: dict[int, int] = {}
 
-    @functools.lru_cache(maxsize=None)
     def endpoint(state: int) -> int:
-        taus = sorted(to for action, to in out[state] if action == TAU)
-        if not taus:
-            return state
-        return endpoint(taus[0])
+        chased = []
+        while state not in ends:
+            taus = [to for action, to in out[state] if action == TAU]
+            if not taus:
+                ends[state] = state
+                break
+            chased.append(state)
+            state = min(taus)
+        for visited in chased:
+            ends[visited] = ends[state]
+        return ends[state]
 
     new_init = endpoint(g.init)
     transitions = []

@@ -4,13 +4,23 @@ An activity is accepted when its control links are unique, well scoped
 and acyclic (including across the containment relation), every repeat
 is closed with respect to links, and variable kinds inferred from the
 syntactic positions are consistent.  Violations are collected
-exhaustively, never fail-fast.
+exhaustively, never fail-fast; only the first precedence cycle found is
+reported.
+
+The link checks work per link.  ``syntax.link_table`` lists, for each
+link, the activities declaring it as source, target or scope; unicity
+and scoping read those lists.  The cycle and containment-crossing checks
+read ``syntax.pred_pairs``: one pair per source and target occurrence of
+a link, plus seq adjacency.  A pair whose one path is a prefix of the
+other crosses containment.  The cost follows the number of link
+occurrences, not the square of the number of activities.
 """
 
 from __future__ import annotations
 
 import enum
 
+from .control import find_cycle
 from .diagnostics import (
     CONTAINMENT_CROSS,
     CYCLE,
@@ -39,11 +49,15 @@ from .syntax import (
     Seq,
     Ses,
     TRUE,
+    all_sources,
+    all_targets,
     contains_unf,
     describe_path,
     fields_src,
     fields_tgt,
     join_links,
+    link_table,
+    pred_pairs,
     subacts,
 )
 
@@ -109,16 +123,7 @@ def validate_well_formed(act: Activity) -> list[Diagnostic]:
     out: list[Diagnostic] = []
 
     # Link occurrence tables, by declaration role.
-    by_src: dict[str, list[Path]] = {}
-    by_tgt: dict[str, list[Path]] = {}
-    by_lnk: dict[str, list[Path]] = {}
-    for path, sub in subs.items():
-        for link in fields_src(sub):
-            by_src.setdefault(link, []).append(path)
-        for link in fields_tgt(sub):
-            by_tgt.setdefault(link, []).append(path)
-        for link in getattr(sub, "lnk", frozenset()):
-            by_lnk.setdefault(link, []).append(path)
+    by_src, by_tgt, by_lnk = (link_table(subs, f) for f in ("src", "tgt", "lnk"))
 
     # Unicity: each role of a link belongs to exactly one activity.
     for role, table in (("source", by_src), ("target", by_tgt), ("scope", by_lnk)):
@@ -145,26 +150,21 @@ def validate_well_formed(act: Activity) -> list[Diagnostic]:
                     return True
         return False
 
-    for link in sorted(by_src):
-        for path in by_src[link]:
-            if not scoped(link, path, by_tgt):
-                out.append(
-                    Diagnostic(
-                        UNSCOPED_LINK,
-                        f"source link '{link}' has no enclosing flo scope with a matching target",
-                        path,
+    for role, table, opposite, wanted in (
+        ("source", by_src, by_tgt, "target"),
+        ("target", by_tgt, by_src, "source"),
+    ):
+        for link in sorted(table):
+            for path in table[link]:
+                if not scoped(link, path, opposite):
+                    out.append(
+                        Diagnostic(
+                            UNSCOPED_LINK,
+                            f"{role} link '{link}' has no enclosing flo scope "
+                            f"with a matching {wanted}",
+                            path,
+                        )
                     )
-                )
-    for link in sorted(by_tgt):
-        for path in by_tgt[link]:
-            if not scoped(link, path, by_src):
-                out.append(
-                    Diagnostic(
-                        UNSCOPED_LINK,
-                        f"target link '{link}' has no enclosing flo scope with a matching source",
-                        path,
-                    )
-                )
 
     # Join conditions range over the activity's own incoming links.
     for path, sub in subs.items():
@@ -181,67 +181,36 @@ def validate_well_formed(act: Activity) -> list[Diagnostic]:
             )
 
     # Non-cyclicity of the precedence relation.
-    edges: dict[Path, set[Path]] = {}
-    for path, sub in subs.items():
-        src1 = fields_src(sub)
-        if src1:
-            for p2, sub2 in subs.items():
-                if src1 & fields_tgt(sub2):
-                    edges.setdefault(path, set()).add(p2)
-    for path, sub in subs.items():
-        if isinstance(sub, Seq):
-            for i in range(len(sub.children) - 1):
-                edges.setdefault(path + (i,), set()).add(path + (i + 1,))
+    pairs = pred_pairs(act)
+    edges: dict[Path, list[Path]] = {}
+    for before, after in sorted(pairs):  # search and report in path order
+        edges.setdefault(before, []).append(after)
+    loop = find_cycle(edges, edges)
+    if loop is not None:
+        names = " -> ".join(describe_path(act, p) for p in loop)
+        out.append(Diagnostic(CYCLE, f"precedence cycle: {names}", loop[0]))
 
-    state: dict[Path, int] = {}
-
-    def on_cycle(path: Path, trail: list[Path]) -> Path | None:
-        state[path] = 1
-        trail.append(path)
-        for succ in sorted(edges.get(path, ())):
-            if state.get(succ, 0) == 1:
-                return succ
-            if state.get(succ, 0) == 0:
-                found = on_cycle(succ, trail)
-                if found is not None:
-                    return found
-        state[path] = 2
-        trail.pop()
-        return None
-
-    for start in sorted(edges):
-        if state.get(start, 0) == 0:
-            trail: list[Path] = []
-            entry = on_cycle(start, trail)
-            if entry is not None:
-                loop = trail[trail.index(entry) :]
-                names = " -> ".join(describe_path(act, p) for p in loop + [entry])
-                out.append(Diagnostic(CYCLE, f"precedence cycle: {names}", entry))
-                break  # one report per tree is enough; state is tainted
-
-    # Containment crossing: no links between an activity and its subactivities.
-    for path, sub in subs.items():
-        for p2, sub2 in subs.items():
-            if p2[: len(path)] != path:
-                continue
-            if fields_src(sub) & fields_tgt(sub2):
-                out.append(
-                    Diagnostic(
-                        CONTAINMENT_CROSS,
-                        f"links from {describe_path(act, path)} target its own "
-                        f"subactivity {describe_path(act, p2)}",
-                        path,
-                    )
+    # Containment crossing: no links between an activity and its
+    # subactivities.  Seq adjacency never relates a path to its prefix.
+    for before, after in pairs:
+        if after[: len(before)] == before:
+            out.append(
+                Diagnostic(
+                    CONTAINMENT_CROSS,
+                    f"links from {describe_path(act, before)} target its own "
+                    f"subactivity {describe_path(act, after)}",
+                    before,
                 )
-            if p2 != path and fields_src(sub2) & fields_tgt(sub):
-                out.append(
-                    Diagnostic(
-                        CONTAINMENT_CROSS,
-                        f"links from subactivity {describe_path(act, p2)} target "
-                        f"the containing {describe_path(act, path)}",
-                        path,
-                    )
+            )
+        elif before[: len(after)] == after:
+            out.append(
+                Diagnostic(
+                    CONTAINMENT_CROSS,
+                    f"links from subactivity {describe_path(act, before)} target "
+                    f"the containing {describe_path(act, after)}",
+                    after,
                 )
+            )
 
     # Repeat closure conditions.
     for path, sub in subs.items():
@@ -263,12 +232,8 @@ def validate_well_formed(act: Activity) -> list[Diagnostic]:
                     path,
                 )
             )
-        inner_src = frozenset().union(
-            *(fields_src(s) for s in subacts(sub.do_pic, strict=True).values())
-        ) if subacts(sub.do_pic, strict=True) else frozenset()
-        inner_tgt = frozenset().union(
-            *(fields_tgt(s) for s in subacts(sub.do_pic, strict=True).values())
-        ) if subacts(sub.do_pic, strict=True) else frozenset()
+        inner_src = all_sources(sub.do_pic, strict=True)
+        inner_tgt = all_targets(sub.do_pic, strict=True)
         if inner_src != inner_tgt:
             escaped = sorted(inner_src ^ inner_tgt)
             out.append(

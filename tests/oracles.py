@@ -522,3 +522,106 @@ def sequential_reference_trace(seq: Seq) -> tuple[str, ...]:
         else:
             raise TypeError(atom)
     return tuple(labels)
+
+
+# --------------------------------------------------------------------------
+# Recursive cycle searches, as validation and the silent-cycle check ran
+# them before both moved to one iterative search.  Their recursion depth
+# follows the longest path, so keep the graphs given to them small.
+
+
+def recursive_precedence_cycle(edges: dict) -> list | None:
+    """The first cycle of ``edges`` (node -> successor set), closed, or None.
+
+    Starts in sorted order, visits successors in sorted order and keeps
+    the visited marks across starts.
+    """
+    state: dict = {}
+
+    def on_cycle(path, trail: list):
+        state[path] = 1
+        trail.append(path)
+        for succ in sorted(edges.get(path, ())):
+            if state.get(succ, 0) == 1:
+                return succ
+            if state.get(succ, 0) == 0:
+                found = on_cycle(succ, trail)
+                if found is not None:
+                    return found
+        state[path] = 2
+        trail.pop()
+        return None
+
+    for start in sorted(edges):
+        if state.get(start, 0) == 0:
+            trail: list = []
+            entry = on_cycle(start, trail)
+            if entry is not None:
+                return trail[trail.index(entry) :] + [entry]
+    return None
+
+
+def recursive_tau_cycle(g: ControlGraph) -> list[int] | None:
+    """A cycle made only of silent transitions, closed, or None."""
+    tau_out: dict[int, list[int]] = {}
+    for frm, action, to in g.transitions:
+        if action == TAU:
+            tau_out.setdefault(frm, []).append(to)
+
+    state: dict[int, int] = {}
+    trail: list[int] = []
+
+    def dfs(node: int) -> list[int] | None:
+        state[node] = 1
+        trail.append(node)
+        for succ in tau_out.get(node, ()):
+            if state.get(succ, 0) == 1:
+                return trail[trail.index(succ) :] + [succ]
+            if state.get(succ, 0) == 0:
+                found = dfs(succ)
+                if found is not None:
+                    return found
+        state[node] = 2
+        trail.pop()
+        return None
+
+    for start in sorted(tau_out):
+        if state.get(start, 0) == 0:
+            found = dfs(start)
+            if found is not None:
+                return found
+    return None
+
+
+# --------------------------------------------------------------------------
+# Wide inputs: many siblings, long link chains and long silent paths
+
+
+def seq_of_invs(n: int) -> Seq:
+    """A seq of ``n`` sibling ``(inv s a)``."""
+    return Seq(tuple(Inv("s", "a") for _ in range(n)))
+
+
+def linked_flo(n: int, ring: bool = False) -> Flo:
+    """A flo of ``n`` ``(inv s a)``, each linked to the next.
+
+    With ``ring`` the last one also links back to the first, which closes
+    a precedence cycle through all ``n``.
+    """
+    links = [f"l{i}" for i in range(n if ring else n - 1)]
+    children = []
+    for i in range(n):
+        src = frozenset([links[i]]) if i < len(links) else frozenset()
+        tgt = frozenset([links[i - 1]]) if i > 0 or ring else frozenset()
+        children.append(Inv("s", "a", (), tgt, src))
+    return Flo(tuple(children), lnk=frozenset(links))
+
+
+def silent_path(n: int) -> ControlGraph:
+    """States ``0 -τ-> 1 -τ-> ... -τ-> n-1``."""
+    return ControlGraph(n, 0, tuple((i, TAU, i + 1) for i in range(n - 1)))
+
+
+def silent_ring(n: int) -> ControlGraph:
+    """The silent path with its last state stepping back to state 0."""
+    return ControlGraph(n, 0, tuple((i, TAU, (i + 1) % n) for i in range(n)))

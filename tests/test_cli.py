@@ -273,3 +273,50 @@ def test_simulate_byte_identical_across_runs():
 def test_simulate_reports_quiescence(capsys):
     assert main(["simulate", "corpus/pingpong.cfg", "--steps", "50", "--seed", "3"]) == 0
     assert "quiescent at step" in capsys.readouterr().out
+
+
+NOT_UTF8 = b"(inv s \xff)\n"
+
+
+def test_validate_non_utf8_file_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.seb"
+    bad.write_bytes(NOT_UTF8)
+    assert main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_compile_non_utf8_file_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.seb"
+    bad.write_bytes(NOT_UTF8)
+    assert main(["compile", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("bad_name", ["client.seb", "bad.cfg"])
+def test_check_non_utf8_input_exit_two(bad_name, tmp_path, capsys):
+    manifest = tmp_path / "bad.cfg"
+    manifest.write_text("(client :file client.seb)\n", encoding="utf-8")
+    (tmp_path / "client.seb").write_text("(rec s0 a)\n", encoding="utf-8")
+    (tmp_path / bad_name).write_bytes(NOT_UTF8)
+    assert main(["check", str(manifest)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / bad_name}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_compile_output_to_unwritable_path_exit_two(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "g.aut"
+    assert main(["compile", "fixtures/atomic_inv.seb", "-o", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {out_path}: No such file or directory\n"
+
+
+def test_check_unreadable_activity_names_the_activity(tmp_path, capsys):
+    manifest = tmp_path / "m.cfg"
+    manifest.write_text("(client :file client.seb)\n", encoding="utf-8")
+    (tmp_path / "client.seb").mkdir()
+    assert main(["check", str(manifest)]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'client.seb'}: Is a directory\n"
