@@ -205,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-states",
         type=int,
         default=None,
-        help="safety cap on raw state count (default 1000000)",
+        help="safety cap on the states the closure explores for the "
+        "requested stage (default 1000000)",
     )
     p.set_defaults(func=cmd_compile)
 

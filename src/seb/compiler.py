@@ -64,6 +64,7 @@ from .wellformed import desugar_seq
 logger = logging.getLogger(__name__)
 
 Step = tuple[Action, LinkMap, Activity]
+State = tuple[LinkMap, Activity]
 
 
 class StateCapExceeded(Exception):
@@ -206,17 +207,44 @@ def _derive(c: LinkMap, act: Activity, cache: _Memo) -> tuple[Step, ...]:
 DEFAULT_STATE_CAP = 1_000_000
 
 
-def _closure(act: Activity, max_states: int, tau_first: bool) -> ControlGraph:
+def _closure(
+    act: Activity, max_states: int, tau_first: bool, compress: bool = False
+) -> ControlGraph:
     root = desugar_seq(act)
-    c0 = initial_link_map(root)
-    start = (c0, root)
-
-    index: dict[tuple[LinkMap, Activity], int] = {start: 0}
-    payloads: list[tuple[LinkMap, Activity]] = [start]
-    transitions: list[tuple[int, Action, int]] = []
-    queue: deque[tuple[LinkMap, Activity]] = deque([start])
     cache = _Memo()
     cache.intern_tree(root)
+    ends: dict[State, State] = {}
+
+    def normal_form(state: State) -> State:
+        """Where a state's silent steps lead when each takes the first step.
+
+        Silent steps are confluent and terminate, so every silent path
+        from a state ends in the same state.  ``ends`` maps each state
+        passed through to that endpoint; the cap counts all of them, so a
+        silent loop stops at the cap instead of spinning.
+        """
+        if not compress:
+            return state
+        path = []
+        while state not in ends:
+            if len(ends) + len(path) >= max_states:
+                raise StateCapExceeded(max_states)
+            steps = _steps(state[0], state[1], cache)
+            if not steps or steps[0][0] != TAU:
+                ends[state] = state
+                break
+            path.append(state)
+            state = steps[0][1:]
+        end = ends[state]
+        for visited in path:
+            ends[visited] = end
+        return end
+
+    start = normal_form((initial_link_map(root), root))
+    index: dict[State, int] = {start: 0}
+    payloads: list[State] = [start]
+    transitions: list[tuple[int, Action, int]] = []
+    queue: deque[State] = deque([start])
 
     while queue:
         state = queue.popleft()
@@ -226,7 +254,7 @@ def _closure(act: Activity, max_states: int, tau_first: bool) -> ControlGraph:
             taus = [s for s in steps if s[0] == TAU]
             steps = taus or steps
         for action, c2, residual in steps:
-            succ = (c2, residual)
+            succ = normal_form((c2, residual))
             to = index.get(succ)
             if to is None:
                 if len(index) >= max_states:
@@ -266,6 +294,22 @@ def build_prioritized_cg(
     interleaving explosion the priority rule exists to avoid.
     """
     return _closure(act, max_states, tau_first=True)
+
+
+def build_compressed_cg(
+    act: Activity, max_states: int = DEFAULT_STATE_CAP
+) -> ControlGraph:
+    """Closure that follows one silent step per state.
+
+    The start state and every successor are chased along their first
+    derived silent step (silent steps sort first) to a state without
+    one; only those states are indexed and their observable steps
+    expanded.  Gives the compressed stage, up to numbering: with
+    ``renumber_bfs`` it equals ``tau_compress`` of the prioritized graph
+    (asserted in the tests) without building any silent interleaving.
+    ``max_states`` counts every state passed through, chased or indexed.
+    """
+    return _closure(act, max_states, tau_first=True, compress=True)
 
 
 def state_upper_bound(act: Activity) -> int:

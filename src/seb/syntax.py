@@ -431,13 +431,8 @@ def _activity_hash(self) -> int:
     """Structural hash from the children's cached hashes; O(fields) per node."""
     h = self.__dict__.get("_hash")
     if h is None:
-        parts: list = [type(self).__name__]
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if isinstance(value, tuple) and value and not isinstance(value[0], str):
-                parts.append(tuple(hash(v) for v in value))
-            else:
-                parts.append(value)
+        parts = [type(self).__name__]
+        parts += [getattr(self, name) for name in self.__dataclass_fields__]
         h = hash(tuple(parts))
         object.__setattr__(self, "_hash", h)
     return h

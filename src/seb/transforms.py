@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .compiler import (
+    build_compressed_cg,
     build_prioritized_cg,
     build_raw_cg,
     check_raw_properties,
@@ -203,10 +204,13 @@ def build_stages(
     """Build each stage up to ``upto`` once, in order; return them by name.
 
     The raw closure runs only when ``upto`` is "raw" or ``from_raw`` is
-    set, and the prioritized stage is then pruned from it.  Otherwise the
-    fused construction builds that stage without ever expanding the
-    successors prioritization would discard; both give the same graph
-    (asserted in the tests).  Every stage keeps the payloads it has.
+    set; the prioritized stage is then pruned from it and compressed.
+    Otherwise "prio" comes from the fused construction, which never
+    expands the successors prioritization would discard, and every later
+    stage from the compressing closure, which follows one silent step per
+    state; neither builds a "prio" entry for the other.  Both routes give
+    the same graphs (asserted in the tests).  Every stage keeps the
+    payloads it has.
     """
     if upto not in STAGES:
         raise ValueError(f"unknown stage '{upto}', expected one of {STAGES}")
@@ -216,15 +220,21 @@ def build_stages(
         stages["raw"] = build_raw_cg(act, **kwargs)
     if upto == "raw":
         return stages
-    if from_raw:
-        g = tau_prioritize(stages["raw"], validate=False)
-    else:
-        g = build_prioritized_cg(act, **kwargs)
-    stages["prio"] = g
     # Named per call, so wrappers installed on this module (as the
     # benchmark's tracer does) see every stage.
-    reductions = (tau_compress, run_to_completion, minimize)
-    for name, reduce in zip(STAGES[2 : STAGES.index(upto) + 1], reductions):
+    if from_raw:
+        stages["prio"] = tau_prioritize(stages["raw"], validate=False)
+    elif upto == "prio":
+        stages["prio"] = build_prioritized_cg(act, **kwargs)
+    if upto == "prio":
+        return stages
+    if from_raw:
+        g = tau_compress(stages["prio"])
+    else:
+        g = renumber_bfs(build_compressed_cg(act, **kwargs))
+    stages["compress"] = g
+    reductions = (run_to_completion, minimize)
+    for name, reduce in zip(STAGES[3 : STAGES.index(upto) + 1], reductions):
         g = stages[name] = reduce(g)
     return stages
 

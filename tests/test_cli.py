@@ -145,6 +145,17 @@ def test_compile_state_cap_exit_three(tmp_path):
     assert main(["compile", str(wide), "--stage", "raw", "--max-states", "5"]) == 3
 
 
+@pytest.mark.parametrize("stage", ["prio", "min"])
+def test_compile_state_cap_exit_three_on_a_silent_chain(stage, tmp_path, capsys):
+    # min compresses to a single state, so the cap must also count the
+    # states the silent chase passes through.
+    chain = tmp_path / "chain.seb"
+    chain.write_text("(seq" + " (flo (nil))" * 100 + ")")
+    args = ["compile", str(chain), "--stage", stage, "--max-states", "50"]
+    assert main(args) == 3
+    assert "safety cap of 50" in capsys.readouterr().err
+
+
 def test_compile_invalid_input_exit_one():
     assert main(["compile", "fixtures/dup_link.seb"]) == 1
 
