@@ -40,6 +40,21 @@ def _read_activity(path: str):
         raise SystemExit(_input_error(f"{path}: {exc}"))
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _input_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_INPUT
@@ -203,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-states",
-        type=int,
+        type=_int_at_least(1),
         default=None,
         help="safety cap on the states the closure explores for the "
         "requested stage (default 1000000)",
@@ -212,14 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="explore a configuration for interaction safety")
     p.add_argument("manifest")
-    p.add_argument("--max-configs", type=int, default=100_000)
-    p.add_argument("--max-queue", type=int, default=16)
+    p.add_argument("--max-configs", type=_int_at_least(1), default=100_000)
+    p.add_argument("--max-queue", type=_int_at_least(0), default=16)
     p.add_argument("--trace", action="store_true", help="print the witness trace")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("simulate", help="run random steps through a configuration")
     p.add_argument("manifest")
-    p.add_argument("--steps", type=int, default=20)
+    p.add_argument("--steps", type=_int_at_least(0), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 

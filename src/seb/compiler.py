@@ -40,7 +40,8 @@ from .control import (
     eval_join,
     find_cycle,
     initial_link_map,
-    sorted_transitions,
+    renumber_bfs,
+    state_key,
 )
 from .syntax import (
     Activity,
@@ -56,7 +57,6 @@ from .syntax import (
     Unf,
     all_sources,
     all_targets,
-    structure_key,
     subacts,
 )
 from .wellformed import desugar_seq
@@ -71,15 +71,6 @@ class StateCapExceeded(Exception):
     def __init__(self, cap: int):
         super().__init__(f"state count exceeded the safety cap of {cap}")
         self.cap = cap
-
-
-def _step_key(step: Step) -> tuple:
-    action, c, act = step
-    return (action.sort_key(), c.sort_key(), structure_key(act))
-
-
-def _dedupe(steps: list[Step]) -> list[Step]:
-    return sorted(set(steps), key=_step_key)
 
 
 class _Memo:
@@ -108,8 +99,11 @@ class _Memo:
 
 
 def enabled_steps(c: LinkMap, act: Activity) -> list[Step]:
-    """Every derivable transition from (c, act), deduplicated and ordered."""
-    return list(_steps(c, act, _Memo()))
+    """Every derivable transition from (c, act), deduplicated.
+
+    Ordered by action, then by the successor's ``state_key``.
+    """
+    return sorted(_steps(c, act, _Memo()), key=lambda s: (s[0].sort_key(), state_key(s[1:])))
 
 
 def _steps(c: LinkMap, act: Activity, cache: _Memo) -> tuple[Step, ...]:
@@ -201,7 +195,7 @@ def _derive(c: LinkMap, act: Activity, cache: _Memo) -> tuple[Step, ...]:
         case _:
             raise TypeError(f"not an activity: {act!r}")
 
-    return tuple(_dedupe(steps))
+    return tuple(dict.fromkeys(steps))
 
 
 DEFAULT_STATE_CAP = 1_000_000
@@ -216,11 +210,12 @@ def _closure(
     ends: dict[State, State] = {}
 
     def normal_form(state: State) -> State:
-        """Where a state's silent steps lead when each takes the first step.
+        """Where a state's silent steps lead, chasing the least successor.
 
         Silent steps are confluent and terminate, so every silent path
-        from a state ends in the same state.  ``ends`` maps each state
-        passed through to that endpoint; the cap counts all of them, so a
+        from a state ends in the same state; taking the successor with the
+        least ``state_key`` fixes the states passed through.  ``ends`` maps
+        each of them to that endpoint; the cap counts all of them, so a
         silent loop stops at the cap instead of spinning.
         """
         if not compress:
@@ -230,11 +225,12 @@ def _closure(
             if len(ends) + len(path) >= max_states:
                 raise StateCapExceeded(max_states)
             steps = _steps(state[0], state[1], cache)
-            if not steps or steps[0][0] != TAU:
+            silent = [step[1:] for step in steps if step[0] == TAU]
+            if not silent:
                 ends[state] = state
                 break
             path.append(state)
-            state = steps[0][1:]
+            state = min(silent, key=state_key)
         end = ends[state]
         for visited in path:
             ends[visited] = end
@@ -265,12 +261,8 @@ def _closure(
                 queue.append(succ)
             transitions.append((sid, action, to))
 
-    return ControlGraph(
-        num_states=len(index),
-        init=0,
-        transitions=sorted_transitions(transitions),
-        payloads=tuple(payloads),
-    )
+    cache.steps.clear()  # free the derivations before renumbering allocates
+    return renumber_bfs(ControlGraph(len(index), 0, tuple(transitions), tuple(payloads)))
 
 
 def build_raw_cg(act: Activity, max_states: int = DEFAULT_STATE_CAP) -> ControlGraph:
@@ -278,7 +270,7 @@ def build_raw_cg(act: Activity, max_states: int = DEFAULT_STATE_CAP) -> ControlG
 
     Sequences are desugared first; the initial link map covers every link
     of the desugared tree.  States keep their (link map, residual) payload
-    and are numbered in discovery order.
+    and are numbered by ``renumber_bfs``.
     """
     return _closure(act, max_states, tau_first=False)
 
@@ -301,12 +293,12 @@ def build_compressed_cg(
 ) -> ControlGraph:
     """Closure that follows one silent step per state.
 
-    The start state and every successor are chased along their first
-    derived silent step (silent steps sort first) to a state without
-    one; only those states are indexed and their observable steps
-    expanded.  Gives the compressed stage, up to numbering: with
-    ``renumber_bfs`` it equals ``tau_compress`` of the prioritized graph
-    (asserted in the tests) without building any silent interleaving.
+    The start state and every successor are chased along the silent
+    step to the successor with the least ``state_key`` until a state
+    without one; only those states are indexed and their observable
+    steps expanded.  Gives the compressed stage: it equals
+    ``tau_compress`` of the prioritized graph (asserted in the tests)
+    without building any silent interleaving.
     ``max_states`` counts every state passed through, chased or indexed.
     """
     return _closure(act, max_states, tau_first=True, compress=True)

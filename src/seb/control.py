@@ -295,19 +295,25 @@ def sorted_transitions(transitions) -> tuple[Transition, ...]:
     return tuple(sorted(transitions, key=_transition_key))
 
 
+def state_key(payload: Payload) -> tuple:
+    """Run-independent total order on (link map, residual) payloads."""
+    c, act = payload
+    return (c.sort_key(), structure_key(act))
+
+
 def renumber_bfs(g: ControlGraph) -> ControlGraph:
     """Renumber reachable states in breadth-first discovery order.
 
     Successors are visited in action order with payload-content ties (or
     old ids when payloads are gone), so the numbering depends only on the
-    graph's content; unreachable states are dropped.
+    graph's content, not on the order of its transitions; unreachable
+    states are dropped.  Every graph the pipeline returns is numbered
+    here.
     """
     from collections import deque
 
     if g.payloads is not None:
-        payload_keys = [
-            (c.sort_key(), structure_key(act)) for c, act in g.payloads
-        ]
+        payload_keys = [state_key(payload) for payload in g.payloads]
 
         def edge_key(edge):
             return (edge[0].sort_key(), payload_keys[edge[1]])

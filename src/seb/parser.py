@@ -13,7 +13,7 @@ Grammar (``;`` starts a line comment)::
             | rep: "(" "do" act ")" "(" "until" act ")"
 
 Names starting with ``$`` are reserved for generated sequencing links and
-rejected in user source.
+rejected in user source.  Parentheses nest at most ``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
@@ -76,6 +76,13 @@ class SList:
 
 Node = Atom | Str | SList
 
+# The tree walks after parsing (hashing, validation, derivation) recurse
+# once or twice per level.  This is the deepest nesting at which
+# ``validate``, ``compile`` at every stage, ``compile --check-properties``
+# and ``check`` all finish under ``python -m seb`` with Python's default
+# recursion limit, measured on nested seq, flo, pic, rep and join forms.
+MAX_NESTING = 492
+
 _TOKEN = re.compile(r'\(|\)|"(?:[^"\\]|\\.)*"|[^\s()";]+')
 
 
@@ -95,11 +102,13 @@ def read_forms(text: str) -> list[Node]:
     tokens = _tokenize(text)
     pos = 0
 
-    def read() -> Node:
+    def read(depth: int) -> Node:
         nonlocal pos
         tok, line, col = tokens[pos]
         pos += 1
         if tok == "(":
+            if depth > MAX_NESTING:
+                raise SebSyntaxError(f"nesting deeper than {MAX_NESTING} levels", line, col)
             items = []
             while True:
                 if pos >= len(tokens):
@@ -107,7 +116,7 @@ def read_forms(text: str) -> list[Node]:
                 if tokens[pos][0] == ")":
                     pos += 1
                     return SList(tuple(items), line, col)
-                items.append(read())
+                items.append(read(depth + 1))
         if tok == ")":
             raise SebSyntaxError("unexpected ')'", line, col)
         if tok.startswith('"'):
@@ -118,7 +127,7 @@ def read_forms(text: str) -> list[Node]:
 
     forms = []
     while pos < len(tokens):
-        forms.append(read())
+        forms.append(read(1))
     return forms
 
 

@@ -27,7 +27,6 @@ from .control import (
     TAU,
     Tau,
     renumber_bfs,
-    sorted_transitions,
 )
 from .syntax import Activity
 
@@ -51,9 +50,7 @@ def _keep_highest(g: ControlGraph, rank) -> ControlGraph:
         if out[state]:
             best = max(rank(action) for action, _ in out[state])
             kept += [(state, a, to) for a, to in out[state] if rank(a) == best]
-    return renumber_bfs(
-        ControlGraph(g.num_states, g.init, sorted_transitions(kept), g.payloads)
-    )
+    return renumber_bfs(ControlGraph(g.num_states, g.init, tuple(kept), g.payloads))
 
 
 def _mixed_states(g: ControlGraph, rank) -> list[int]:
@@ -130,9 +127,7 @@ def tau_compress(g: ControlGraph) -> ControlGraph:
             continue
         if endpoint(frm) == frm:
             transitions.append((frm, action, endpoint(to)))
-    return renumber_bfs(
-        ControlGraph(g.num_states, new_init, sorted_transitions(transitions), g.payloads)
-    )
+    return renumber_bfs(ControlGraph(g.num_states, new_init, tuple(transitions), g.payloads))
 
 
 _PRIORITY = {Tau: 3, Send: 2, SesInit: 1, Recv: 0}
@@ -180,9 +175,7 @@ def minimize(g: ControlGraph) -> ControlGraph:
             "minimize expects a graph without silent transitions"
         )
     block = refine_partition(g)
-    transitions = sorted_transitions(
-        {(block[f], a, block[t]) for f, a, t in g.transitions}
-    )
+    transitions = tuple({(block[f], a, block[t]) for f, a, t in g.transitions})
     n_blocks = max(block) + 1 if g.num_states else 0
     quotient = ControlGraph(n_blocks, block[g.init], transitions)
     return renumber_bfs(quotient)
@@ -231,7 +224,7 @@ def build_stages(
     if from_raw:
         g = tau_compress(stages["prio"])
     else:
-        g = renumber_bfs(build_compressed_cg(act, **kwargs))
+        g = build_compressed_cg(act, **kwargs)
     stages["compress"] = g
     reductions = (run_to_completion, minimize)
     for name, reduce in zip(STAGES[3 : STAGES.index(upto) + 1], reductions):

@@ -6,6 +6,7 @@ import pytest
 
 from seb.cli import main
 from seb.manifest import ManifestError, load_manifest
+from seb.transforms import STAGES
 
 from conftest import ROOT
 
@@ -156,6 +157,34 @@ def test_compile_state_cap_exit_three_on_a_silent_chain(stage, tmp_path, capsys)
     assert "safety cap of 50" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("compile", "fixtures/atomic_inv.seb", "--max-states", "-7"), "--max-states: must be at least 1, got -7"),
+        (("compile", "fixtures/atomic_inv.seb", "--max-states", "0"), "--max-states: must be at least 1, got 0"),
+        (("check", "corpus/pingpong.cfg", "--max-configs", "-3"), "--max-configs: must be at least 1, got -3"),
+        (("check", "corpus/pingpong.cfg", "--max-configs", "0"), "--max-configs: must be at least 1, got 0"),
+        (("check", "corpus/pingpong.cfg", "--max-queue", "-1"), "--max-queue: must be at least 0, got -1"),
+        (("simulate", "corpus/pingpong.cfg", "--steps", "-1"), "--steps: must be at least 0, got -1"),
+        (("check", "corpus/pingpong.cfg", "--max-configs", "many"), "--max-configs: invalid int value: 'many'"),
+    ],
+)
+def test_bound_out_of_range_is_a_usage_error(args, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: seb {args[0]} ")
+    assert err.endswith(f"error: argument {message}\n")
+
+
+def test_least_bounds_are_accepted(capsys):
+    assert main(["compile", "fixtures/atomic_inv.seb", "--max-states", "2"]) == 0
+    assert main(["compile", "fixtures/atomic_inv.seb", "--max-states", "1"]) == 3
+    assert main(["check", "corpus/pingpong.cfg", "--max-configs", "1", "--max-queue", "0"]) == 4
+    assert "1 configurations, max-configs=1, max-queue=0" in capsys.readouterr().out
+
+
 def test_compile_invalid_input_exit_one():
     assert main(["compile", "fixtures/dup_link.seb"]) == 1
 
@@ -234,15 +263,24 @@ def test_simulate_zero_steps(capsys):
 # Determinism across processes (distinct hash seeds)
 
 
-def test_compile_byte_identical_across_hash_seeds():
-    outs = set()
-    for hash_seed in ("1", "2"):
-        proc = run_cli(
-            "compile", "corpus/quotecomparer.seb", "--stage", "min", hash_seed=hash_seed
-        )
-        assert proc.returncode == 0, proc.stderr
-        outs.add(proc.stdout)
-    assert len(outs) == 1
+def test_compile_byte_identical_across_hash_seeds(tmp_path):
+    # Every stage is numbered from unsorted derived steps, so every stage
+    # is compared, payloads included.  quotecomparer's raw graph has 53k
+    # states; two smaller activities stand in for it there.
+    chain = tmp_path / "chain.seb"
+    chain.write_text("(seq" + " (flo (nil))" * 25 + ")")
+    cases = [("corpus/pingpong_client.seb", "raw"), (str(chain), "raw")]
+    cases += [("corpus/quotecomparer.seb", stage) for stage in STAGES[1:]]
+    for path, stage in cases:
+        outs = set()
+        for hash_seed in ("1", "2"):
+            proc = run_cli(
+                "compile", path, "--stage", stage, "--format", "dot", "--keep-payloads",
+                hash_seed=hash_seed,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.add(proc.stdout)
+        assert len(outs) == 1, (path, stage)
 
 
 @pytest.mark.parametrize(

@@ -124,6 +124,28 @@ def test_no_duplicate_steps():
     assert len(tau_results) == 1
 
 
+def test_enabled_steps_come_in_action_then_state_order():
+    # Derived child by child, the steps come receive, send b, drop nil,
+    # send a; the result is ordered silent first, then by action, then by
+    # successor state.
+    c = LinkMap.of({})
+    flo = Flo((Rec("s", "z"), Inv("s", "b"), Nil(), Inv("s", "a")))
+    assert enabled_steps(c, flo) == [
+        (TAU, c, Flo((Rec("s", "z"), Inv("s", "b"), Inv("s", "a")))),
+        (Send("s", "a", ()), c, Flo((Rec("s", "z"), Inv("s", "b"), Nil(), Nil()))),
+        (Send("s", "b", ()), c, Flo((Rec("s", "z"), Nil(), Nil(), Inv("s", "a")))),
+        (Recv("s", "z", ()), c, Flo((Nil(), Inv("s", "b"), Nil(), Inv("s", "a")))),
+    ]
+    # Equal actions are ordered by the successor's link map, then residual.
+    c = LinkMap.of({"l": None, "m": None})
+    a_l = Inv("s", "a", (), src=frozenset("l"))
+    a_m = Inv("s", "a", (), src=frozenset("m"))
+    assert enabled_steps(c, Flo((a_l, a_m))) == [
+        (Send("s", "a", ()), LinkMap.of({"l": None, "m": True}), Flo((a_l, Nil()))),
+        (Send("s", "a", ()), LinkMap.of({"l": True, "m": None}), Flo((Nil(), a_m))),
+    ]
+
+
 # --------------------------------------------------------------------------
 # Structural bound
 
