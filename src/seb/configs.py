@@ -1,8 +1,9 @@
 """Executable semantics of networked service configurations.
 
 A running configuration holds deployable services (factories), running
-instances, FIFO message queues and session bindings.  Four rules advance
-it: a session initiation enqueues a fresh-session request at the target
+instances, FIFO message queues and a fresh-session counter, which also
+fixes the session bindings.  Four rules advance it: a session initiation
+binds two fresh sessions and enqueues a request for one at the target
 location; a service consumes such a request by spawning an instance; a
 send appends an operation message to the partner session's queue; a
 reception consumes a matching head message.  Interaction safety fails
@@ -25,8 +26,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from itertools import chain
-from operator import attrgetter, indexOf
 
 from .control import ControlGraph, SesInit, StateEdges
 from .diagnostics import (
@@ -165,27 +164,27 @@ class Instance:
 
 
 Queues = tuple[tuple[Value, tuple[Message, ...]], ...]
-Bindings = tuple[tuple[SessionId, SessionId], ...]
 
-_NAME = attrgetter("name")
+
+def _session(k: int) -> SessionId:
+    return SessionId(f"#{k}")
 
 
 @dataclass(frozen=True, slots=True)
 class RunningConfiguration:
     """A configuration: immutable, hashed once when built.
 
-    ``queues`` is sorted by destination (``value_key``), holds no empty
-    queue, and ``bindings`` is sorted by pair; both are part of the
-    configuration's identity.  The hash leaves out ``services``, which no
-    step changes, and ``bindings``, which only session initiations extend,
-    each by one pair as it advances ``fresh_counter``: neither tells apart
-    configurations of one exploration.  Equality compares every field.
+    ``queues`` is sorted by destination (``value_key``) and holds no empty
+    queue.  Session ids are drawn in pairs: the k-th session initiation
+    binds ``#2k`` to ``#2k+1``, so the sessions bound so far are exactly
+    ``#0`` to ``#fresh_counter-1``, and ``#k``'s partner is ``#(k xor 1)``.
+    The hash leaves out ``services``, which no step changes.  Equality
+    compares every field.
     """
 
     services: tuple[DeployableService, ...]
     instances: tuple[Instance, ...]
     queues: Queues
-    bindings: Bindings
     fresh_counter: int = 0
     fault: Diagnostic | None = None
     _hash: int = field(init=False, repr=False, compare=False)
@@ -207,15 +206,14 @@ class RunningConfiguration:
         return ()
 
     def partner(self, session: SessionId) -> SessionId | None:
-        # Bindings hold only session ids, so equal names mean equal
-        # sessions; matching names over the flattened pairs runs in C,
-        # with no Python-level __eq__ per binding.
-        names = map(_NAME, chain.from_iterable(self.bindings))
-        try:
-            i = indexOf(names, session.name)
-        except ValueError:
-            return None
-        return self.bindings[i // 2][1 - i % 2]
+        k = int(session.name[1:])
+        return _session(k ^ 1) if k < self.fresh_counter else None
+
+    @property
+    def bindings(self) -> tuple[tuple[SessionId, SessionId], ...]:
+        """The bound pairs, ordered by the first id's name (``#10`` before ``#2``)."""
+        firsts = sorted(range(0, self.fresh_counter, 2), key=str)
+        return tuple((_session(k), _session(k + 1)) for k in firsts)
 
 
 def _queue_key(entry: tuple[Value, tuple[Message, ...]]) -> tuple:
@@ -228,19 +226,6 @@ def _queue_set(queues: Queues, dest: Value, items: tuple[Message, ...]) -> Queue
     end = i + 1 if i < len(queues) and queues[i][0] == dest else i
     entry = ((dest, items),) if items else ()
     return queues[:i] + entry + queues[end:]
-
-
-def _pair_key(pair: tuple[SessionId, SessionId]) -> tuple:
-    return (value_key(pair[0]), value_key(pair[1]))
-
-
-def _bind(bindings: Bindings, a: SessionId, b: SessionId) -> Bindings:
-    """``bindings`` with the pair of ``a`` and ``b`` inserted in order."""
-    pair = (a, b) if value_key(a) <= value_key(b) else (b, a)
-    i = bisect_left(bindings, _pair_key(pair), key=_pair_key)
-    if i < len(bindings) and bindings[i] == pair:
-        return bindings
-    return bindings[:i] + (pair,) + bindings[i:]
 
 
 # --------------------------------------------------------------------------
@@ -360,7 +345,6 @@ def make_initial_config(
         services=tuple(services),
         instances=(client,),
         queues=(),
-        bindings=(),
         fresh_counter=0,
     )
 
@@ -380,10 +364,6 @@ class ConfigStep:
 
     def render(self) -> str:
         return f"{self.rule} {self.actor} {self.detail}"
-
-
-def _fresh_session(counter: int) -> tuple[SessionId, int]:
-    return SessionId(f"#{counter}"), counter + 1
 
 
 def successors(config: RunningConfiguration) -> list[ConfigStep]:
@@ -417,8 +397,8 @@ def successors(config: RunningConfiguration) -> list[ConfigStep]:
                     ConfigStep("SES1", actor, action.render(), replace(config, fault=fault))
                 )
                 continue
-            alpha, counter = _fresh_session(config.fresh_counter)
-            beta, counter = _fresh_session(counter)
+            counter = config.fresh_counter
+            alpha, beta = _session(counter), _session(counter + 1)
             new_inst = Instance(
                 inst.origin, var_map_set(inst.var_map, {action.s: alpha}), inst.graph, to
             )
@@ -429,8 +409,7 @@ def successors(config: RunningConfiguration) -> list[ConfigStep]:
                 config.services,
                 with_instance(idx, new_inst),
                 queues,
-                _bind(config.bindings, alpha, beta),
-                counter,
+                counter + 2,
             )
             detail = f"{action.render()} -> {NewSession(beta).render()} at {target.render()}"
             steps.append(ConfigStep("SES1", actor, detail, result))
@@ -453,7 +432,6 @@ def successors(config: RunningConfiguration) -> list[ConfigStep]:
             config.services,
             instances + (spawned,),
             _queue_set(config.queues, svc.location, queue[1:]),
-            config.bindings,
             config.fresh_counter,
         )
         detail = f"consume {head.render()} at {svc.location.render()}"
@@ -502,7 +480,6 @@ def successors(config: RunningConfiguration) -> list[ConfigStep]:
                 config.services,
                 with_instance(idx, new_inst),
                 queues,
-                config.bindings,
                 config.fresh_counter,
             )
             detail = f"{action.render()} -> {message.render()} to {partner.render()}"
@@ -530,7 +507,6 @@ def successors(config: RunningConfiguration) -> list[ConfigStep]:
                 config.services,
                 with_instance(idx, new_inst),
                 _queue_set(config.queues, own, queue[1:]),
-                config.bindings,
                 config.fresh_counter,
             )
             actor = f"{inst.origin}[{idx}]"
@@ -636,30 +612,31 @@ def explore_safety(
     verified only up to the bound.
     """
     initial = make_initial_config(services, client)
-    visited: dict[RunningConfiguration, int] = {initial: 0}
-    order: list[RunningConfiguration] = [initial]
-    parents: dict[int, tuple[int, ConfigStep]] = {}
+    # Each visited configuration, with the step that first reached it and
+    # that step's source; None for the initial configuration.
+    visited: dict[
+        RunningConfiguration, tuple[RunningConfiguration, ConfigStep] | None
+    ] = {initial: None}
     truncated = False
 
-    def trace_to(index: int) -> tuple[ConfigStep, ...]:
-        chain = []
-        while index != 0:
-            index, step = parents[index]
-            chain.append(step)
-        return tuple(reversed(chain))
+    def trace_to(config: RunningConfiguration) -> tuple[ConfigStep, ...]:
+        trace = []
+        while (reached := visited[config]) is not None:
+            config, step = reached
+            trace.append(step)
+        return tuple(reversed(trace))
 
-    frontier = [0]
+    frontier = [initial]
     while frontier:
         next_frontier = []
-        for cfg_index in frontier:
-            config = order[cfg_index]
+        for config in frontier:
             witness = one_step_safe(config)
             if witness is not None:
-                return Unsafe(trace_to(cfg_index), witness, configurations=len(visited))
+                return Unsafe(trace_to(config), witness, configurations=len(visited))
             for step in successors(config):
                 succ = step.result
                 if succ.fault is not None:
-                    trace = trace_to(cfg_index) + (step,)
+                    trace = trace_to(config) + (step,)
                     return Unsafe(trace, None, fault=succ.fault, configurations=len(visited))
                 if succ in visited:
                     continue
@@ -670,11 +647,8 @@ def explore_safety(
                     return Exhausted(
                         len(visited), max_configs, max_queue_len, "configuration limit"
                     )
-                index = len(order)
-                visited[succ] = index
-                order.append(succ)
-                parents[index] = (cfg_index, step)
-                next_frontier.append(index)
+                visited[succ] = (config, step)
+                next_frontier.append(succ)
         frontier = next_frontier
 
     if truncated:

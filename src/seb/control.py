@@ -59,9 +59,6 @@ class LinkMap:
             object.__setattr__(self, "_h", h)
         return h
 
-    def get(self, link: str) -> LinkValue:
-        return self._dict()[link]
-
     def as_dict(self) -> dict[str, LinkValue]:
         return dict(self.entries)
 
@@ -91,12 +88,6 @@ class LinkMap:
             key = tuple(_VALUE_RANK[value] for _, value in self.entries)
             object.__setattr__(self, "_sk", key)
         return key
-
-    def __str__(self) -> str:
-        def show(v: LinkValue) -> str:
-            return "?" if v is None else ("T" if v else "F")
-
-        return "{" + ", ".join(f"{n}={show(v)}" for n, v in self.entries) + "}"
 
 
 def initial_link_map(act: Activity) -> LinkMap:

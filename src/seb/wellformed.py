@@ -19,6 +19,7 @@ occurrences, not the square of the number of activities.
 from __future__ import annotations
 
 import enum
+from dataclasses import replace
 
 from .control import find_cycle
 from .diagnostics import (
@@ -291,7 +292,7 @@ def desugar_seq(act: Activity) -> Activity:
                     add_src = frozenset([links[i]]) if i < len(links) else frozenset()
                     add_tgt = frozenset([links[i - 1]]) if i > 0 else frozenset()
                     new_jcd = conj(child.jcd, links[i - 1]) if i > 0 else child.jcd
-                    child = _replace_common(
+                    child = replace(
                         child,
                         tgt=child.tgt | add_tgt,
                         src=child.src | add_src,
@@ -310,24 +311,3 @@ def desugar_seq(act: Activity) -> Activity:
                 return node
 
     return walk(act)
-
-
-def _replace_common(act: Activity, *, tgt, src, jcd) -> Activity:
-    match act:
-        case Ses(s, p):
-            return Ses(s, p, tgt, src, jcd)
-        case Inv(s, op, args):
-            return Inv(s, op, args, tgt, src, jcd)
-        case Rec(s, op, params):
-            return Rec(s, op, params, tgt, src, jcd)
-        case Seq(children):
-            return Seq(children, tgt, src, jcd)
-        case Flo(children):
-            return Flo(children, tgt, src, jcd, act.lnk)
-        case Pic(branches):
-            return Pic(branches, tgt, src, jcd)
-        case Rep(do_pic, until_pic):
-            return Rep(do_pic, until_pic, tgt, src, jcd)
-        case Nil():
-            raise ValueError("nil carries no control fields")
-    raise TypeError(f"not an activity: {act!r}")

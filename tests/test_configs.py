@@ -160,6 +160,18 @@ def test_session_initiation_then_spawn_then_send(ping_setup):
     assert after_send.queue(SessionId("#1")) == (OpMessage("ping", (Data("hi"),)),)
 
 
+def test_partners_and_bindings_follow_the_fresh_counter(ping_setup):
+    svc, client = ping_setup
+    config = replace(make_initial_config([svc], client), fresh_counter=22)
+    assert config.partner(SessionId("#10")) == SessionId("#11")
+    assert config.partner(SessionId("#11")) == SessionId("#10")
+    assert config.partner(SessionId("#21")) == SessionId("#20")
+    assert config.partner(SessionId("#22")) is None
+    firsts = [a.name for a, _ in config.bindings]
+    assert firsts == ["#0", "#10", "#12", "#14", "#16", "#18", "#2", "#20", "#4", "#6", "#8"]
+    assert all(b.name == f"#{int(a.name[1:]) + 1}" for a, b in config.bindings)
+
+
 def test_reception_binds_parameters(ping_setup):
     svc, client = ping_setup
     config = make_initial_config([svc], client)
@@ -210,7 +222,6 @@ def test_unexpected_head_is_unsafe(ping_setup):
         services=config.services,
         instances=config.instances,
         queues=tuple(sorted(bad, key=lambda e: str(e[0]))),
-        bindings=config.bindings,
         fresh_counter=config.fresh_counter,
     )
     witness = one_step_safe(config)
@@ -418,8 +429,7 @@ def test_replace_computes_a_fresh_hash(ping_setup):
     fault = Diagnostic(BROKEN_BINDING, "made up")
     faulty = replace(config, fault=fault)
     rebuilt = type(config)(
-        config.services, config.instances, config.queues, config.bindings,
-        config.fresh_counter, fault,
+        config.services, config.instances, config.queues, config.fresh_counter, fault,
     )
     assert faulty == rebuilt and hash(faulty) == hash(rebuilt)
     assert faulty != config and hash(faulty) != hash(config)
