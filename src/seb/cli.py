@@ -6,7 +6,8 @@ interaction-safety exploration) and ``simulate`` (seeded random runs).
 
 Exit codes: 0 success/verified, 1 diagnostics reported or unsafe,
 2 input errors (syntax, I/O, manifest), 3 state cap exceeded,
-4 exploration exhausted its limits.
+4 exploration exhausted its limits, 5 internal error (any other
+exception, reported on one stderr line without a traceback).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_DIAGNOSTICS = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_EXHAUSTED = 4
+EXIT_INTERNAL = 5
 
 
 def _read_activity(path: str):
@@ -247,6 +249,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -16,7 +16,11 @@ Exploration looks up, rather than recomputes, what each instance can do:
 
 * each control graph's successor table (``ControlGraph.successor_table``)
   is built once, on first use, and then shared by every instance that
-  runs that graph; it must not be mutated;
+  runs that graph; it must not be mutated.  A row holds a state's edges
+  (``all``) and, apart, its receptions (``recvs``), which
+  ``one_step_safe`` reads;
+* ``successors`` makes one pass over the instances and sends each edge of
+  a live instance, by action class, to SES1, INV or REC;
 * instances and configurations are immutable and compute their hash once,
   when they are built, so a ``visited`` lookup hashes cached ints.
 """
@@ -27,7 +31,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
-from .control import ControlGraph, SesInit, StateEdges
+from .control import ControlGraph, Recv, SesInit, Send, StateEdges
 from .diagnostics import (
     BROKEN_BINDING,
     CLIENT_SHAPE,
@@ -129,14 +133,8 @@ Message = NewSession | OpMessage
 class DeployableService:
     name: str
     var_map: VarMap
-    pic: Activity
     graph: ControlGraph
-
-    @property
-    def location(self) -> ServiceLoc:
-        loc = var_map_get(self.var_map, OWN_LOCATION)
-        assert isinstance(loc, ServiceLoc)
-        return loc
+    location: ServiceLoc  # the var map's OWN_LOCATION, set once by make_service
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,7 +274,8 @@ def make_service(
 ) -> DeployableService:
     """Validate and build a deployable service; ``free`` as in ``check_deployable``."""
     problems = check_deployable(var_map, pic, free)
-    if not isinstance(var_map.get(OWN_LOCATION), ServiceLoc):
+    location = var_map.get(OWN_LOCATION)
+    if not isinstance(location, ServiceLoc):
         problems = problems + [
             Diagnostic(
                 UNDEFINED_FREE,
@@ -285,7 +284,7 @@ def make_service(
         ]
     if problems:
         raise ConfigurationError(problems)
-    return DeployableService(name, make_var_map(var_map), pic, graph)
+    return DeployableService(name, make_var_map(var_map), graph, location)
 
 
 def make_client(
@@ -366,6 +365,26 @@ class ConfigStep:
         return f"{self.rule} {self.actor} {self.detail}"
 
 
+def _advance(
+    config: RunningConfiguration,
+    idx: int,
+    to: int,
+    var_map: VarMap,
+    queues: Queues,
+    fresh: int,
+) -> RunningConfiguration:
+    """``config`` with instance ``idx`` moved to state ``to``, holding ``var_map``."""
+    inst = config.instances[idx]
+    moved = Instance(inst.origin, var_map, inst.graph, to)
+    instances = config.instances[:idx] + (moved,) + config.instances[idx + 1 :]
+    return RunningConfiguration(config.services, instances, queues, fresh)
+
+
+def _accepts(recv: Recv, head: OpMessage) -> bool:
+    """Whether a reception matches a head message: same operation and arity."""
+    return recv.op == head.op and len(recv.params) == len(head.payload)
+
+
 def successors(config: RunningConfiguration) -> list[ConfigStep]:
     """Every configuration reachable in one rule application.
 
@@ -373,55 +392,85 @@ def successors(config: RunningConfiguration) -> list[ConfigStep]:
     the services, then INV and REC over the instances, each instance's
     edges in successor-table order.
     """
-    steps: list[ConfigStep] = []
     if config.fault is not None:
-        return steps
-    instances = config.instances
-    # Instances at a sink of their graph take no step.
-    live = [(idx, inst) for idx, inst in enumerate(instances) if inst.edges.all]
+        return []
+    counter = config.fresh_counter
+    ses1: list[ConfigStep] = []
+    inv: list[ConfigStep] = []
+    rec: list[ConfigStep] = []
 
-    def with_instance(idx: int, inst: Instance) -> tuple[Instance, ...]:
-        return instances[:idx] + (inst,) + instances[idx + 1 :]
+    def fault(
+        rule: RuleTag, actor: str, action: SesInit | Send, code: str, why: str
+    ) -> ConfigStep:
+        faulty = replace(config, fault=Diagnostic(code, f"{actor} {why}"))
+        return ConfigStep(rule, actor, action.render(), faulty)
 
-    # SES1: an instance initiates a session.
-    for idx, inst in live:
-        for action, to in inst.edges.ses_inits:
-            target = var_map_get(inst.var_map, action.p)
-            actor = f"{inst.origin}[{idx}]"
-            if not isinstance(target, ServiceLoc):
-                fault = Diagnostic(
-                    BROKEN_BINDING,
-                    f"{actor} initiates on '{action.p}' which holds no location",
+    for idx, inst in enumerate(config.instances):
+        if not inst.edges.all:
+            continue  # an instance at a sink of its graph takes no step
+        actor = f"{inst.origin}[{idx}]"
+        var_map = inst.var_map
+        for action, to in inst.edges.all:
+            if isinstance(action, SesInit):
+                # SES1: bind two fresh sessions and request a service instance.
+                target = var_map_get(var_map, action.p)
+                if not isinstance(target, ServiceLoc):
+                    why = f"initiates on '{action.p}' which holds no location"
+                    ses1.append(fault("SES1", actor, action, BROKEN_BINDING, why))
+                    continue
+                request = NewSession(_session(counter + 1))
+                queues = _queue_set(
+                    config.queues, target, config.queue(target) + (request,)
                 )
-                steps.append(
-                    ConfigStep("SES1", actor, action.render(), replace(config, fault=fault))
+                bound = var_map_set(var_map, {action.s: _session(counter)})
+                result = _advance(config, idx, to, bound, queues, counter + 2)
+                detail = f"{action.render()} -> {request.render()} at {target.render()}"
+                ses1.append(ConfigStep("SES1", actor, detail, result))
+            elif isinstance(action, Send):
+                # INV: send an operation message to the partner session.
+                own = var_map_get(var_map, action.s)
+                partner = config.partner(own) if isinstance(own, SessionId) else None
+                if partner is None:
+                    why = f"sends on '{action.s}' which is not bound to a session"
+                    inv.append(fault("INV", actor, action, BROKEN_BINDING, why))
+                    continue
+                payload = tuple(var_map_get(var_map, arg) for arg in action.args)
+                bad = [
+                    arg
+                    for arg, value in zip(action.args, payload)
+                    if not isinstance(value, EXCHANGEABLE)
+                ]
+                if bad:
+                    why = f"sends '{bad[0]}' which holds no exchangeable value"
+                    inv.append(fault("INV", actor, action, UNDEFINED_PAYLOAD, why))
+                    continue
+                message = OpMessage(action.op, payload)
+                queues = _queue_set(
+                    config.queues, partner, config.queue(partner) + (message,)
                 )
-                continue
-            counter = config.fresh_counter
-            alpha, beta = _session(counter), _session(counter + 1)
-            new_inst = Instance(
-                inst.origin, var_map_set(inst.var_map, {action.s: alpha}), inst.graph, to
-            )
-            queues = _queue_set(
-                config.queues, target, config.queue(target) + (NewSession(beta),)
-            )
-            result = RunningConfiguration(
-                config.services,
-                with_instance(idx, new_inst),
-                queues,
-                counter + 2,
-            )
-            detail = f"{action.render()} -> {NewSession(beta).render()} at {target.render()}"
-            steps.append(ConfigStep("SES1", actor, detail, result))
+                result = _advance(config, idx, to, var_map, queues, counter)
+                detail = f"{action.render()} -> {message.render()} to {partner.render()}"
+                inv.append(ConfigStep("INV", actor, detail, result))
+            elif isinstance(action, Recv):
+                # REC: consume a matching head message.
+                own = var_map_get(var_map, action.s)
+                queue = config.queue(own) if isinstance(own, SessionId) else ()
+                head = queue[0] if queue else None
+                if not isinstance(head, OpMessage) or not _accepts(action, head):
+                    continue
+                received = var_map_set(var_map, dict(zip(action.params, head.payload)))
+                queues = _queue_set(config.queues, own, queue[1:])
+                result = _advance(config, idx, to, received, queues, counter)
+                detail = f"{action.render()} <- {head.render()}"
+                rec.append(ConfigStep("REC", actor, detail, result))
 
     # SES2: a service consumes a session request and spawns an instance.
+    ses2: list[ConfigStep] = []
     for svc in config.services:
         queue = config.queue(svc.location)
-        if not queue:
+        if not queue or not isinstance(queue[0], NewSession):
             continue
         head = queue[0]
-        if not isinstance(head, NewSession):
-            continue
         spawned = Instance(
             origin=svc.name,
             var_map=var_map_set(svc.var_map, {ROOT_SESSION: head.session}),
@@ -430,90 +479,14 @@ def successors(config: RunningConfiguration) -> list[ConfigStep]:
         )
         result = RunningConfiguration(
             config.services,
-            instances + (spawned,),
+            config.instances + (spawned,),
             _queue_set(config.queues, svc.location, queue[1:]),
-            config.fresh_counter,
+            counter,
         )
         detail = f"consume {head.render()} at {svc.location.render()}"
-        steps.append(ConfigStep("SES2", svc.name, detail, result))
+        ses2.append(ConfigStep("SES2", svc.name, detail, result))
 
-    # INV: an instance sends an operation message over a bound session.
-    for idx, inst in live:
-        for action, to in inst.edges.sends:
-            actor = f"{inst.origin}[{idx}]"
-            own = var_map_get(inst.var_map, action.s)
-            partner = (
-                config.partner(own) if isinstance(own, SessionId) else None
-            )
-            if partner is None:
-                fault = Diagnostic(
-                    BROKEN_BINDING,
-                    f"{actor} sends on '{action.s}' which is not bound to a session",
-                )
-                steps.append(
-                    ConfigStep("INV", actor, action.render(), replace(config, fault=fault))
-                )
-                continue
-            payload = []
-            undefined = None
-            for arg in action.args:
-                value = var_map_get(inst.var_map, arg)
-                if value is None or isinstance(value, SessionId):
-                    undefined = arg
-                    break
-                payload.append(value)
-            if undefined is not None:
-                fault = Diagnostic(
-                    UNDEFINED_PAYLOAD,
-                    f"{actor} sends '{undefined}' which holds no exchangeable value",
-                )
-                steps.append(
-                    ConfigStep("INV", actor, action.render(), replace(config, fault=fault))
-                )
-                continue
-            message = OpMessage(action.op, tuple(payload))
-            new_inst = Instance(inst.origin, inst.var_map, inst.graph, to)
-            queues = _queue_set(
-                config.queues, partner, config.queue(partner) + (message,)
-            )
-            result = RunningConfiguration(
-                config.services,
-                with_instance(idx, new_inst),
-                queues,
-                config.fresh_counter,
-            )
-            detail = f"{action.render()} -> {message.render()} to {partner.render()}"
-            steps.append(ConfigStep("INV", actor, detail, result))
-
-    # REC: an instance consumes a matching head message.
-    for idx, inst in live:
-        for action, to in inst.edges.recvs:
-            own = var_map_get(inst.var_map, action.s)
-            if not isinstance(own, SessionId):
-                continue
-            queue = config.queue(own)
-            if not queue:
-                continue
-            head = queue[0]
-            if not isinstance(head, OpMessage):
-                continue
-            if head.op != action.op or len(head.payload) != len(action.params):
-                continue
-            updates = dict(zip(action.params, head.payload))
-            new_inst = Instance(
-                inst.origin, var_map_set(inst.var_map, updates), inst.graph, to
-            )
-            result = RunningConfiguration(
-                config.services,
-                with_instance(idx, new_inst),
-                _queue_set(config.queues, own, queue[1:]),
-                config.fresh_counter,
-            )
-            actor = f"{inst.origin}[{idx}]"
-            detail = f"{action.render()} <- {head.render()}"
-            steps.append(ConfigStep("REC", actor, detail, result))
-
-    return steps
+    return ses1 + ses2 + inv + rec
 
 
 # --------------------------------------------------------------------------
@@ -557,10 +530,7 @@ def one_step_safe(config: RunningConfiguration) -> UnsafeWitness | None:
             receptions = [action for action, _ in recvs if action.s == var]
             if not receptions:
                 continue  # not open on this session
-            if not any(
-                r.op == head.op and len(r.params) == len(head.payload)
-                for r in receptions
-            ):
+            if not any(_accepts(r, head) for r in receptions):
                 return UnsafeWitness(
                     instance=f"{inst.origin}[{idx}]",
                     session_var=var,

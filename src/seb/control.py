@@ -204,23 +204,16 @@ Payload = tuple[LinkMap, Activity]
 class StateEdges(NamedTuple):
     """The outgoing edges of one state, sorted by ``(action.sort_key(), to)``.
 
-    ``all`` holds every edge; the other fields hold the same edges split by
-    action class, each in that order.
+    ``all`` holds every edge; ``recvs`` holds its receptions, in that order.
     """
 
     all: tuple[tuple[Action, int], ...]
-    ses_inits: tuple[tuple[SesInit, int], ...]
-    sends: tuple[tuple[Send, int], ...]
     recvs: tuple[tuple[Recv, int], ...]
 
 
 def _state_edges(out: list[tuple[Action, int]]) -> StateEdges:
     edges = tuple(sorted(out, key=lambda e: (e[0].sort_key(), e[1])))
-
-    def of(cls) -> tuple:
-        return tuple(e for e in edges if isinstance(e[0], cls))
-
-    return StateEdges(edges, of(SesInit), of(Send), of(Recv))
+    return StateEdges(edges, tuple(e for e in edges if isinstance(e[0], Recv)))
 
 
 @dataclass(frozen=True)
@@ -248,7 +241,7 @@ class ControlGraph:
         return range(self.num_states)
 
     def successor_table(self) -> tuple[StateEdges, ...]:
-        """Per state, its sorted outgoing edges split by action class.
+        """Per state, its sorted outgoing edges and, apart, its receptions.
 
         Built from ``outgoing()`` on the first call and cached on the graph
         (graphs are immutable), so later calls cost one lookup.  The table

@@ -167,8 +167,6 @@ Activity = Nil | Ses | Inv | Rec | Seq | Flo | Pic | Rep | Unf
 
 NIL = Nil()
 
-ATOMIC = (Ses, Inv, Rec)
-
 # Reserved variable names: a service's own location and its root session.
 OWN_LOCATION = "p0"
 ROOT_SESSION = "s0"

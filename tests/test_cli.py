@@ -244,6 +244,26 @@ def test_check_manifest_error_exit_two(tmp_path):
     assert main(["check", str(bad)]) == 2
 
 
+def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("seb.cli.explore_safety", broken)
+    assert main(["check", "corpus/pingpong.cfg"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal error: RuntimeError: boom\n"
+
+
+def test_keyboard_interrupt_is_not_caught(monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("seb.cli.explore_safety", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["check", "corpus/pingpong.cfg"])
+
+
 def test_simulate_trace_contains_all_rules(capsys):
     assert main(["simulate", "corpus/pingpong.cfg", "--steps", "6", "--seed", "1"]) == 0
     out = capsys.readouterr().out

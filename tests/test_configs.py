@@ -33,6 +33,7 @@ from seb.diagnostics import (
     DANGLING_PARTNER,
     DUP_LOCATION,
     UNDEFINED_FREE,
+    UNDEFINED_PAYLOAD,
     Diagnostic,
 )
 from seb.manifest import load_manifest
@@ -202,6 +203,48 @@ def test_send_on_unbound_session_is_a_fault():
     assert result.fault is not None and result.fault.code == BROKEN_BINDING
 
 
+FAULT_STEPS = [
+    # SES1 whose location variable holds data
+    (
+        "(ses s p)",
+        {"s": None, "p": Data("x")},
+        0,
+        ("SES1", "client[0]", "s@p"),
+        Diagnostic(BROKEN_BINDING, "client[0] initiates on 'p' which holds no location"),
+    ),
+    # INV on a session variable that holds no session
+    (
+        "(inv r ping (msg))",
+        {"r": None, "msg": Data("hi")},
+        0,
+        ("INV", "client[0]", "r!ping(msg)"),
+        Diagnostic(BROKEN_BINDING, "client[0] sends on 'r' which is not bound to a session"),
+    ),
+    # INV on a bound session whose argument holds no value
+    (
+        "(inv s ping (msg))",
+        {"s": SessionId("#0"), "msg": None},
+        2,
+        ("INV", "client[0]", "s!ping(msg)"),
+        Diagnostic(
+            UNDEFINED_PAYLOAD, "client[0] sends 'msg' which holds no exchangeable value"
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("source, var_map, counter, labels, fault", FAULT_STEPS)
+def test_fault_steps_have_exact_text(source, var_map, counter, labels, fault):
+    svc = service_from(PING_SERVICE, "ping", "svc")
+    graph = compile_stages(parse_activity(source), "min")
+    client = Instance("client", make_var_map(var_map), graph, graph.init)
+    config = replace(make_initial_config([svc], client), fresh_counter=counter)
+    [step] = successors(config)
+    assert (step.rule, step.actor, step.detail) == labels
+    assert step.result.fault == fault
+    assert replace(step.result, fault=None) == config
+
+
 # --------------------------------------------------------------------------
 # One-step safety
 
@@ -324,9 +367,9 @@ def test_config_limit_reports_exhausted(ping_setup):
 # Structural invariants of the step relation
 
 
-def collect_reachable(svc, client, bound=500):
+def collect_reachable(services, client, bound=500):
     seen = []
-    frontier = [make_initial_config([svc], client)]
+    frontier = [make_initial_config(services, client)]
     visited = set(frontier)
     while frontier and len(seen) < bound:
         config = frontier.pop()
@@ -340,7 +383,7 @@ def collect_reachable(svc, client, bound=500):
 
 def test_queue_sort_discipline(ping_setup):
     svc, client = ping_setup
-    for config in collect_reachable(svc, client):
+    for config in collect_reachable([svc], client):
         for dest, items in config.queues:
             for message in items:
                 if isinstance(dest, ServiceLoc):
@@ -349,13 +392,36 @@ def test_queue_sort_discipline(ping_setup):
                     assert isinstance(message, OpMessage)
 
 
-def test_fresh_session_ids_never_reused(ping_setup):
-    svc, client = ping_setup
-    for config in collect_reachable(svc, client):
-        ids = [a.name for a, _ in config.bindings] + [
-            b.name for _, b in config.bindings
-        ]
-        assert len(ids) == len(set(ids))
+def session_ids(config):
+    """Every session id held by an instance or named by a queue."""
+    ids = set()
+    for inst in config.instances:
+        ids.update(value for _, value in inst.var_map if isinstance(value, SessionId))
+    for dest, items in config.queues:
+        if isinstance(dest, SessionId):
+            ids.add(dest)
+        ids.update(m.session for m in items if isinstance(m, NewSession))
+    return ids
+
+
+def test_fresh_session_ids_never_reused():
+    for manifest in (
+        "corpus/pingpong.cfg",
+        "corpus/looping.cfg",
+        "bench/inputs/qc-deployed/deployed.cfg",
+    ):
+        loaded = load_manifest(ROOT / manifest)
+        initiations = 0
+        for config in collect_reachable(list(loaded.services), loaded.client):
+            ids = session_ids(config)
+            assert all(int(i.name[1:]) < config.fresh_counter for i in ids)
+            for step in successors(config):
+                if step.rule == "SES1":
+                    initiations += 1
+                    # SES1 adds exactly the two ids it draws; fewer new ids
+                    # means it drew one the source configuration already holds.
+                    assert len(session_ids(step.result) - ids) == 2
+        assert initiations > 0, manifest
 
 
 def test_fifo_order_preserved():
@@ -435,7 +501,7 @@ def test_replace_computes_a_fresh_hash(ping_setup):
     assert faulty != config and hash(faulty) != hash(config)
 
     inst = config.instances[0]
-    [(_, to)] = inst.edges.ses_inits
+    [(_, to)] = inst.edges.all
     moved = replace(inst, state=to)
     assert hash(moved) == hash(Instance(inst.origin, inst.var_map, inst.graph, to))
     assert hash(moved) != hash(inst)

@@ -1,10 +1,11 @@
 """Golden digests of the explorer's observable output.
 
 The digests were recorded from the explorer before its successor tables
-and configuration hashes were cached.  They pin the step order: the
-rules SES1, SES2, INV and REC over the instances, each in edge order,
-which fixes the BFS order, the configuration counts, the verdicts, the
-traces and the exit codes.
+and configuration hashes were cached; the qc-deployed step renders were
+recorded before ``successors`` became one pass over the instances.  They
+pin the step order: the rules SES1, SES2, INV and REC over the instances,
+each in edge order, which fixes the BFS order, the configuration counts,
+the verdicts, the traces and the exit codes.
 """
 
 import hashlib
@@ -39,9 +40,16 @@ CHECK_TRACE_DIGESTS = {
 }
 
 # SHA-256 over every ``ConfigStep.render()`` (one per line) that
-# ``successors`` returns for the first 500 configurations of looping.cfg,
-# taken in breadth-first discovery order.
-LOOPING_STEP_RENDERS = "41abc3a893b94ada1a7075c99ede71b07125724d498a4a95660f95c67a1aac09"
+# ``successors`` returns for the first 500 configurations of each manifest,
+# taken in breadth-first discovery order.  looping.cfg deploys one service;
+# qc-deployed deploys three, so it also pins SES2 across services and the
+# interleaving of INV and REC over several instances.
+STEP_RENDER_DIGESTS = {
+    "corpus/looping.cfg": "41abc3a893b94ada1a7075c99ede71b07125724d498a4a95660f95c67a1aac09",
+    "bench/inputs/qc-deployed/deployed.cfg": (
+        "a826a938bcd48ea48dabf4e3856845d407892a63ed2a11e7632606e3c166f994"
+    ),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -59,8 +67,9 @@ def test_check_trace_output_matches_golden(manifest, max_configs, capsys):
     assert (digest, code) == CHECK_TRACE_DIGESTS[(manifest, max_configs)], out
 
 
-def test_successor_renders_in_bfs_order_match_golden():
-    loaded = load_manifest(ROOT / "corpus/looping.cfg")
+@pytest.mark.parametrize("manifest", sorted(STEP_RENDER_DIGESTS))
+def test_successor_renders_in_bfs_order_match_golden(manifest):
+    loaded = load_manifest(ROOT / manifest)
     initial = make_initial_config(list(loaded.services), loaded.client)
     seen = {initial}
     order = [initial]
@@ -74,4 +83,4 @@ def test_successor_renders_in_bfs_order_match_golden():
                 order.append(step.result)
         index += 1
     assert index == 500
-    assert digest.hexdigest() == LOOPING_STEP_RENDERS
+    assert digest.hexdigest() == STEP_RENDER_DIGESTS[manifest]
