@@ -10,7 +10,10 @@ reception consumes a matching head message.  Interaction safety fails
 exactly when some instance is open for reception on a session whose queue
 head it cannot receive.
 
-All values are immutable; exploration and simulation are deterministic.
+No value changes once built; exploration and simulation are
+deterministic.  Instances, configurations and steps are slotted but not
+frozen dataclasses: exploration builds one of each per step, and a frozen
+dataclass costs about three times as much to build.
 
 Exploration looks up, rather than recomputes, what each instance can do:
 
@@ -21,8 +24,9 @@ Exploration looks up, rather than recomputes, what each instance can do:
   ``one_step_safe`` reads;
 * ``successors`` makes one pass over the instances and sends each edge of
   a live instance, by action class, to SES1, INV or REC;
-* instances and configurations are immutable and compute their hash once,
-  when they are built, so a ``visited`` lookup hashes cached ints.
+* ``explore_safety`` keys what it has visited by ``canonical_key``, which
+  forgets finished instances, dead sessions, the order of the instances
+  and the names of session ids; each instance computes its part once.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 from .control import ControlGraph, Recv, SesInit, Send, StateEdges
 from .diagnostics import (
@@ -100,6 +105,8 @@ def var_map_get(m: VarMap, var: str) -> Value | None:
 
 
 def var_map_set(m: VarMap, updates: dict[str, Value | None]) -> VarMap:
+    if not updates:
+        return m
     d = dict(m)
     d.update(updates)
     return make_var_map(d)
@@ -137,11 +144,12 @@ class DeployableService:
     location: ServiceLoc  # the var map's OWN_LOCATION, set once by make_service
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Instance:
-    """A running instance: immutable, hashed once when built.
+    """A running instance.
 
-    ``edges`` is the current state's row of the graph's successor table.
+    ``edges`` is the current state's row of the graph's successor table;
+    ``_vars`` and ``_canon`` cache its part of ``canonical_key``.
     """
 
     origin: str  # service name, or "client"
@@ -149,16 +157,15 @@ class Instance:
     graph: ControlGraph = field(repr=False)
     state: int
     edges: StateEdges = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    _vars: tuple | None = field(init=False, repr=False, compare=False)
+    _canon: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", self.graph.successor_table()[self.state])
-        object.__setattr__(
-            self, "_hash", hash((self.origin, self.var_map, self.graph, self.state))
-        )
+        self.edges = self.graph.successor_table()[self.state]
+        self._vars = self._canon = None
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.origin, self.var_map, self.graph, self.state))
 
 
 Queues = tuple[tuple[Value, tuple[Message, ...]], ...]
@@ -168,16 +175,20 @@ def _session(k: int) -> SessionId:
     return SessionId(f"#{k}")
 
 
-@dataclass(frozen=True, slots=True)
+def _session_number(session: SessionId) -> int:
+    return int(session.name[1:])
+
+
+@dataclass(slots=True)
 class RunningConfiguration:
-    """A configuration: immutable, hashed once when built.
+    """A configuration.
 
     ``queues`` is sorted by destination (``value_key``) and holds no empty
     queue.  Session ids are drawn in pairs: the k-th session initiation
     binds ``#2k`` to ``#2k+1``, so the sessions bound so far are exactly
     ``#0`` to ``#fresh_counter-1``, and ``#k``'s partner is ``#(k xor 1)``.
-    The hash leaves out ``services``, which no step changes.  Equality
-    compares every field.
+    The hash leaves out ``services``, which no step changes, and
+    ``fresh_counter``; equality compares every field.
     """
 
     services: tuple[DeployableService, ...]
@@ -185,26 +196,15 @@ class RunningConfiguration:
     queues: Queues
     fresh_counter: int = 0
     fault: Diagnostic | None = None
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "_hash",
-            hash((self.instances, self.queues, self.fresh_counter, self.fault)),
-        )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.instances, self.queues, self.fault))
 
     def queue(self, dest: Value) -> tuple[Message, ...]:
-        for d, items in self.queues:
-            if d == dest:
-                return items
-        return ()
+        return dict(self.queues).get(dest, ())
 
     def partner(self, session: SessionId) -> SessionId | None:
-        k = int(session.name[1:])
+        k = _session_number(session)
         return _session(k ^ 1) if k < self.fresh_counter else None
 
     @property
@@ -354,12 +354,41 @@ def make_initial_config(
 RuleTag = str  # "SES1" | "SES2" | "INV" | "REC"
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)
 class ConfigStep:
+    """One rule application: ``rule`` taken by ``actor``, as ``detail`` says.
+
+    Exploration builds far more steps than it prints, so the text is kept
+    in parts and rendered when read: ``who`` is a service name or an
+    instance's ``(origin, index)``, and ``what`` lists the words of the
+    detail, each a string or something with ``render()``.  Equality and
+    hashing compare the rendered text and the result.
+    """
+
     rule: RuleTag
-    actor: str  # rendered instance or service identity
-    detail: str  # rendered action
+    who: str | tuple[str, int]
+    what: tuple
     result: RunningConfiguration
+
+    @property
+    def actor(self) -> str:
+        who = self.who
+        return who if isinstance(who, str) else f"{who[0]}[{who[1]}]"
+
+    @property
+    def detail(self) -> str:
+        return " ".join(w if isinstance(w, str) else w.render() for w in self.what)
+
+    def _text(self) -> tuple:
+        return (self.rule, self.actor, self.detail, self.result)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ConfigStep):
+            return NotImplemented
+        return self._text() == other._text()
+
+    def __hash__(self) -> int:
+        return hash(self._text())
 
     def render(self) -> str:
         return f"{self.rule} {self.actor} {self.detail}"
@@ -376,6 +405,8 @@ def _advance(
     """``config`` with instance ``idx`` moved to state ``to``, holding ``var_map``."""
     inst = config.instances[idx]
     moved = Instance(inst.origin, var_map, inst.graph, to)
+    if var_map is inst.var_map:
+        moved._vars = inst._vars
     instances = config.instances[:idx] + (moved,) + config.instances[idx + 1 :]
     return RunningConfiguration(config.services, instances, queues, fresh)
 
@@ -395,20 +426,27 @@ def successors(config: RunningConfiguration) -> list[ConfigStep]:
     if config.fault is not None:
         return []
     counter = config.fresh_counter
+    # The queues by destination name, sessions apart from services: a name
+    # is a str, which hashes in C, where a value's hash is a Python call.
+    at_service: dict[str, tuple[Message, ...]] = {}
+    at_session: dict[str, tuple[Message, ...]] = {}
+    for dest, items in config.queues:
+        (at_session if isinstance(dest, SessionId) else at_service)[dest.name] = items
     ses1: list[ConfigStep] = []
     inv: list[ConfigStep] = []
     rec: list[ConfigStep] = []
 
     def fault(
-        rule: RuleTag, actor: str, action: SesInit | Send, code: str, why: str
+        rule: RuleTag, who: tuple[str, int], action: SesInit | Send, code: str, why: str
     ) -> ConfigStep:
+        actor = f"{who[0]}[{who[1]}]"
         faulty = replace(config, fault=Diagnostic(code, f"{actor} {why}"))
-        return ConfigStep(rule, actor, action.render(), faulty)
+        return ConfigStep(rule, who, (action,), faulty)
 
     for idx, inst in enumerate(config.instances):
         if not inst.edges.all:
             continue  # an instance at a sink of its graph takes no step
-        actor = f"{inst.origin}[{idx}]"
+        who = (inst.origin, idx)
         var_map = inst.var_map
         for action, to in inst.edges.all:
             if isinstance(action, SesInit):
@@ -416,23 +454,23 @@ def successors(config: RunningConfiguration) -> list[ConfigStep]:
                 target = var_map_get(var_map, action.p)
                 if not isinstance(target, ServiceLoc):
                     why = f"initiates on '{action.p}' which holds no location"
-                    ses1.append(fault("SES1", actor, action, BROKEN_BINDING, why))
+                    ses1.append(fault("SES1", who, action, BROKEN_BINDING, why))
                     continue
                 request = NewSession(_session(counter + 1))
-                queues = _queue_set(
-                    config.queues, target, config.queue(target) + (request,)
+                queued = _queue_set(
+                    config.queues, target, at_service.get(target.name, ()) + (request,)
                 )
                 bound = var_map_set(var_map, {action.s: _session(counter)})
-                result = _advance(config, idx, to, bound, queues, counter + 2)
-                detail = f"{action.render()} -> {request.render()} at {target.render()}"
-                ses1.append(ConfigStep("SES1", actor, detail, result))
+                result = _advance(config, idx, to, bound, queued, counter + 2)
+                what = (action, "->", request, "at", target)
+                ses1.append(ConfigStep("SES1", who, what, result))
             elif isinstance(action, Send):
                 # INV: send an operation message to the partner session.
                 own = var_map_get(var_map, action.s)
                 partner = config.partner(own) if isinstance(own, SessionId) else None
                 if partner is None:
                     why = f"sends on '{action.s}' which is not bound to a session"
-                    inv.append(fault("INV", actor, action, BROKEN_BINDING, why))
+                    inv.append(fault("INV", who, action, BROKEN_BINDING, why))
                     continue
                 payload = tuple(var_map_get(var_map, arg) for arg in action.args)
                 bad = [
@@ -442,32 +480,31 @@ def successors(config: RunningConfiguration) -> list[ConfigStep]:
                 ]
                 if bad:
                     why = f"sends '{bad[0]}' which holds no exchangeable value"
-                    inv.append(fault("INV", actor, action, UNDEFINED_PAYLOAD, why))
+                    inv.append(fault("INV", who, action, UNDEFINED_PAYLOAD, why))
                     continue
                 message = OpMessage(action.op, payload)
-                queues = _queue_set(
-                    config.queues, partner, config.queue(partner) + (message,)
+                queued = _queue_set(
+                    config.queues, partner, at_session.get(partner.name, ()) + (message,)
                 )
-                result = _advance(config, idx, to, var_map, queues, counter)
-                detail = f"{action.render()} -> {message.render()} to {partner.render()}"
-                inv.append(ConfigStep("INV", actor, detail, result))
+                result = _advance(config, idx, to, var_map, queued, counter)
+                what = (action, "->", message, "to", partner)
+                inv.append(ConfigStep("INV", who, what, result))
             elif isinstance(action, Recv):
                 # REC: consume a matching head message.
                 own = var_map_get(var_map, action.s)
-                queue = config.queue(own) if isinstance(own, SessionId) else ()
+                queue = at_session.get(own.name, ()) if isinstance(own, SessionId) else ()
                 head = queue[0] if queue else None
                 if not isinstance(head, OpMessage) or not _accepts(action, head):
                     continue
                 received = var_map_set(var_map, dict(zip(action.params, head.payload)))
-                queues = _queue_set(config.queues, own, queue[1:])
-                result = _advance(config, idx, to, received, queues, counter)
-                detail = f"{action.render()} <- {head.render()}"
-                rec.append(ConfigStep("REC", actor, detail, result))
+                queued = _queue_set(config.queues, own, queue[1:])
+                result = _advance(config, idx, to, received, queued, counter)
+                rec.append(ConfigStep("REC", who, (action, "<-", head), result))
 
     # SES2: a service consumes a session request and spawns an instance.
     ses2: list[ConfigStep] = []
     for svc in config.services:
-        queue = config.queue(svc.location)
+        queue = at_service.get(svc.location.name, ())
         if not queue or not isinstance(queue[0], NewSession):
             continue
         head = queue[0]
@@ -483,8 +520,8 @@ def successors(config: RunningConfiguration) -> list[ConfigStep]:
             _queue_set(config.queues, svc.location, queue[1:]),
             counter,
         )
-        detail = f"consume {head.render()} at {svc.location.render()}"
-        ses2.append(ConfigStep("SES2", svc.name, detail, result))
+        what = ("consume", head, "at", svc.location)
+        ses2.append(ConfigStep("SES2", svc.name, what, result))
 
     return ses1 + ses2 + inv + rec
 
@@ -516,17 +553,20 @@ def one_step_safe(config: RunningConfiguration) -> UnsafeWitness | None:
     operation message, the instance is open for reception on that session,
     yet no outgoing reception matches the head's operation and arity.
     """
+    # Keyed by name, as in ``successors``; only session queues hold
+    # operation messages.
+    heads = {dest.name: items[0] for dest, items in config.queues
+             if isinstance(items[0], OpMessage)}
+    if not heads:
+        return None
     for idx, inst in enumerate(config.instances):
         recvs = inst.edges.recvs
         if not recvs:
             continue  # open for reception on no session
         for var, value in inst.var_map:
-            if not isinstance(value, SessionId):
+            head = heads.get(value.name) if isinstance(value, SessionId) else None
+            if head is None:
                 continue
-            queue = config.queue(value)
-            if not queue or not isinstance(queue[0], OpMessage):
-                continue
-            head = queue[0]
             receptions = [action for action, _ in recvs if action.s == var]
             if not receptions:
                 continue  # not open on this session
@@ -565,8 +605,104 @@ class Exhausted:
 ExploreResult = Verified | Unsafe | Exhausted
 
 
-def _max_queue(config: RunningConfiguration) -> int:
-    return max((len(items) for _, items in config.queues), default=0)
+# --------------------------------------------------------------------------
+# Canonical configurations
+
+# Stand for a session id, even or odd, in an instance's shape; unlike
+# ``None`` (unbound) they say that the variable holds a session.  Plain
+# strings, because they equal no value and hash in C.
+_ANY_SESSION = ("even session", "odd session")
+
+_FIRST = itemgetter(0)
+_SHAPE = itemgetter(1)
+
+
+def _canon(inst: Instance, shapes: dict[tuple, int]) -> tuple:
+    """Compute and cache ``(shapes, shape, sessions)`` on an instance.
+
+    ``sessions`` numbers the session ids of the var map, in var map order.
+    ``shapes`` interns the shape, in discovery order: the origin, graph,
+    state and var map with each session id blanked to its parity.  The
+    part without the state is interned first and cached in ``_vars``, so
+    an instance that moves and keeps its var map hashes no value again.
+    """
+    cached = inst._vars
+    if cached is None or cached[0] is not shapes:
+        blanked = []
+        sessions = []
+        for var, value in inst.var_map:
+            if isinstance(value, SessionId):
+                sessions.append(_session_number(value))
+                value = _ANY_SESSION[sessions[-1] & 1]
+            blanked.append((var, value))
+        unstated = (inst.origin, inst.graph, tuple(blanked))
+        cached = (shapes, shapes.setdefault(unstated, len(shapes)), tuple(sessions))
+        inst._vars = cached
+    _, unstated, sessions = cached
+    cached = (shapes, shapes.setdefault((unstated, inst.state), len(shapes)), sessions)
+    inst._canon = cached
+    return cached
+
+
+def canonical_key(config: RunningConfiguration, shapes: dict[tuple, int]) -> tuple:
+    """What of ``config`` matters to safety, up to renaming session ids.
+
+    The key is ``(live count, shapes..., pairs..., queues)``:
+
+    * the shapes of the live instances (not at a sink of their graph),
+      sorted; instances of one shape keep their order in ``instances``;
+    * their session ids, pair by pair, numbered in order of first
+      occurrence (a shape records each id's parity, so ``partner()``'s
+      pairing survives);
+    * the queues of services and of live sessions, those a live instance
+      holds or a pending ``NewSession`` names, with session ids renamed
+      (``#2j``/``#2j+1`` for the j-th pair).  No step reads another queue.
+
+    ``services``, ``fresh_counter`` and ``fault`` are left out.  Session
+    ids are only compared for equality and never sent, so configurations
+    with one key take the same steps up to renaming and are equally safe,
+    as long as every session id held is bound, as in every configuration
+    reachable from one that holds none.  One exploration passes one
+    ``shapes`` table to every call, so no hash seed reaches the key.
+    """
+    live = []
+    for inst in config.instances:
+        if inst.edges.all:
+            cached = inst._canon
+            if cached is None or cached[0] is not shapes:
+                cached = _canon(inst, shapes)
+            live.append(cached)
+    live.sort(key=_SHAPE)
+    key: list = [len(live)]
+    key += [shape for _, shape, _ in live]
+    ids = [k for _, _, sessions in live for k in sessions]
+    pairs: dict[int, int] = {}  # old pair index -> new, in order of first use
+    key += [pairs.setdefault(k >> 1, len(pairs)) for k in ids]
+    held = set(ids)
+    kept = []
+    sessions_kept = []
+    # Service queues sort first, so every live session is known before its
+    # queue comes up.
+    for dest, items in config.queues:
+        if isinstance(dest, ServiceLoc):
+            renamed = []
+            for request in items:
+                k = _session_number(request.session)
+                held.add(k)
+                renamed.append(2 * pairs.setdefault(k >> 1, len(pairs)) + (k & 1))
+            kept.append((dest.name, tuple(renamed)))
+        else:
+            k = _session_number(dest)
+            if k in held:
+                sessions_kept.append((2 * pairs[k >> 1] + (k & 1), items))
+    sessions_kept.sort(key=_FIRST)
+    key.append(tuple(kept + sessions_kept))
+    return tuple(key)
+
+
+def _max_queue(key: tuple) -> int:
+    """The length of the longest queue a canonical key keeps."""
+    return max((len(items) for _, items in key[-1]), default=0)
 
 
 def explore_safety(
@@ -577,48 +713,51 @@ def explore_safety(
 ) -> ExploreResult:
     """Breadth-first interaction-safety check of the reachable space.
 
-    ``Verified`` means every reachable configuration was visited and is
-    safe.  Hitting either limit downgrades the verdict to ``Exhausted``:
-    verified only up to the bound.
+    Configurations count once per ``canonical_key``; ``successors`` still
+    steps concrete ones, so every trace replays.  ``Verified`` means every
+    reachable configuration was visited and is safe.  Hitting either limit
+    downgrades the verdict to ``Exhausted``: verified only up to the
+    bound.  ``max_queue_len`` bounds the queues the key keeps.
     """
     initial = make_initial_config(services, client)
-    # Each visited configuration, with the step that first reached it and
-    # that step's source; None for the initial configuration.
-    visited: dict[
-        RunningConfiguration, tuple[RunningConfiguration, ConfigStep] | None
-    ] = {initial: None}
+    shapes: dict[tuple, int] = {}
+    start = canonical_key(initial, shapes)
+    # Each visited key, with the key of the configuration a step first
+    # reached it from and that step; None for the initial configuration.
+    visited: dict[tuple, tuple[tuple, ConfigStep] | None] = {start: None}
     truncated = False
 
-    def trace_to(config: RunningConfiguration) -> tuple[ConfigStep, ...]:
+    def trace_to(key: tuple) -> tuple[ConfigStep, ...]:
         trace = []
-        while (reached := visited[config]) is not None:
-            config, step = reached
+        while (reached := visited[key]) is not None:
+            key, step = reached
             trace.append(step)
         return tuple(reversed(trace))
 
-    frontier = [initial]
+    frontier = [(initial, start)]
     while frontier:
         next_frontier = []
-        for config in frontier:
+        for config, key in frontier:
             witness = one_step_safe(config)
             if witness is not None:
-                return Unsafe(trace_to(config), witness, configurations=len(visited))
+                return Unsafe(trace_to(key), witness, configurations=len(visited))
             for step in successors(config):
                 succ = step.result
                 if succ.fault is not None:
-                    trace = trace_to(config) + (step,)
+                    trace = trace_to(key) + (step,)
                     return Unsafe(trace, None, fault=succ.fault, configurations=len(visited))
-                if succ in visited:
+                succ_key = canonical_key(succ, shapes)
+                if succ_key in visited:
                     continue
-                if _max_queue(succ) > max_queue_len:
+                if _max_queue(succ_key) > max_queue_len:
                     truncated = True
                     continue
                 if len(visited) >= max_configs:
                     return Exhausted(
                         len(visited), max_configs, max_queue_len, "configuration limit"
                     )
-                visited[succ] = (config, step)
-                next_frontier.append(succ)
+                visited[succ_key] = (key, step)
+                next_frontier.append((succ, succ_key))
         frontier = next_frontier
 
     if truncated:

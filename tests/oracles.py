@@ -1,9 +1,11 @@
 """Independent reference implementations used only to check the library.
 
-Nothing here shares code with the package's step derivation, transforms
-or exploration: the step interpreter below works on plain dicts and was
+Nothing here shares code with the package's step derivation or
+transforms: the step interpreter below works on plain dicts and was
 written directly from the derivation rules; the equivalence checkers are
-classic partition refinements.
+classic partition refinements.  The unreduced explorer shares the
+configuration step relation with the package, because what it checks is
+the package's reduction of the explored space.
 """
 
 from __future__ import annotations
@@ -625,3 +627,214 @@ def silent_path(n: int) -> ControlGraph:
 def silent_ring(n: int) -> ControlGraph:
     """The silent path with its last state stepping back to state 0."""
     return ControlGraph(n, 0, tuple((i, TAU, (i + 1) % n) for i in range(n)))
+
+
+# --------------------------------------------------------------------------
+# Unreduced exploration and random manifests
+
+
+def unreduced_explore_safety(services, client, max_configs=100_000, max_queue_len=16):
+    """Breadth-first safety check keyed by the concrete configurations.
+
+    This is ``configs.explore_safety`` as it was before configurations
+    were keyed by ``canonical_key``: nothing is forgotten, so finished
+    instances and fresh session ids make configurations distinct, and
+    every queue counts towards ``max_queue_len``.  It shares the step
+    relation and the one-step check with the package; only the reduction
+    is under test.
+    """
+    from seb.configs import (
+        Exhausted,
+        Unsafe,
+        Verified,
+        make_initial_config,
+        one_step_safe,
+        successors,
+    )
+
+    initial = make_initial_config(services, client)
+    visited = {initial: None}
+    truncated = False
+
+    def trace_to(config):
+        trace = []
+        while (reached := visited[config]) is not None:
+            config, step = reached
+            trace.append(step)
+        return tuple(reversed(trace))
+
+    frontier = [initial]
+    while frontier:
+        next_frontier = []
+        for config in frontier:
+            witness = one_step_safe(config)
+            if witness is not None:
+                return Unsafe(trace_to(config), witness, configurations=len(visited))
+            for step in successors(config):
+                succ = step.result
+                if succ.fault is not None:
+                    trace = trace_to(config) + (step,)
+                    return Unsafe(trace, None, fault=succ.fault, configurations=len(visited))
+                if succ in visited:
+                    continue
+                if max((len(items) for _, items in succ.queues), default=0) > max_queue_len:
+                    truncated = True
+                    continue
+                if len(visited) >= max_configs:
+                    return Exhausted(
+                        len(visited), max_configs, max_queue_len, "configuration limit"
+                    )
+                visited[succ] = (config, step)
+                next_frontier.append(succ)
+        frontier = next_frontier
+    if truncated:
+        return Exhausted(len(visited), max_configs, max_queue_len, "queue length limit")
+    return Verified(len(visited))
+
+
+MESSAGE_OPS = ("a", "b", "c")
+
+
+class ManifestGenerator:
+    """Deterministic generator of small deployable manifests.
+
+    Each service follows a random protocol on its root session: it starts
+    by receiving the client's first message, then sends and receives in
+    turn.  The client runs one to three sessions, in sequence or in
+    parallel, each against a service drawn with replacement, so one
+    service often spawns several instances.  A client session sends its
+    first message right after the initiation, before any service can
+    have consumed the request.  With some probability a client session
+    gets one message wrong (operation or arity), which usually makes the
+    manifest unsafe; a pick may also accept an extra operation.  Some
+    clients also run the looping pattern of ``corpus/looping.cfg``
+    against a kicker service: a fresh session on every answer, which no
+    concrete exploration can exhaust.  Some race two echo sessions
+    (``_race``).
+
+    ``manifest()`` returns ``{file name: text}``, ``deployed.cfg``
+    included; ``write_manifest`` puts those files in a directory.
+    """
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+
+    def _protocol(self) -> list[tuple[str, str, int]]:
+        """Moves seen from the client: ``(direction, op, arity)``, first ``out``."""
+        moves = [("out", self.rng.choice(MESSAGE_OPS), self.rng.randrange(2))]
+        for _ in range(self.rng.randrange(3)):
+            moves.append((self.rng.choice(("out", "in")), self.rng.choice(MESSAGE_OPS),
+                          self.rng.randrange(2)))
+        return moves
+
+    @staticmethod
+    def _args(arity: int, name: str) -> str:
+        return f"({name})" if arity else "()"
+
+    def _service(self, protocol) -> str:
+        _, op, arity = protocol[0]
+        rest = []
+        for direction, op2, arity2 in protocol[1:]:
+            if direction == "out":
+                rest.append(f"(rec s0 {op2} {self._args(arity2, 'x')})")
+            else:
+                rest.append(f"(inv s0 {op2} {self._args(arity2, 'd')})")
+        body = "(nil)" if not rest else rest[0] if len(rest) == 1 else f"(seq {' '.join(rest)})"
+        return f"(pic (on (rec s0 {op} {self._args(arity, 'x')}) {body}))\n"
+
+    def _wrong(self, op: str, arity: int) -> tuple[str, int]:
+        if self.rng.random() < 0.5:
+            return self.rng.choice([o for o in MESSAGE_OPS if o != op]), arity
+        return op, 1 - arity
+
+    def _session(self, s: str, loc: str, protocol) -> str:
+        moves = list(protocol)
+        if self.rng.random() < 0.35:
+            i = self.rng.randrange(len(moves))
+            direction, op, arity = moves[i]
+            moves[i] = (direction, *self._wrong(op, arity))
+        parts = [f"(ses {s} {loc})"]
+        for direction, op, arity in moves:
+            if direction == "out":
+                parts.append(f"(inv {s} {op} {self._args(arity, 'd')})")
+            elif self.rng.random() < 0.3:
+                extra, extra_arity = self._wrong(op, arity)
+                parts.append(f"(pic (on (rec {s} {op} {self._args(arity, 'y')}) (nil)) "
+                             f"(on (rec {s} {extra} {self._args(extra_arity, 'y')}) (nil)))")
+            else:
+                parts.append(f"(rec {s} {op} {self._args(arity, 'y')})")
+        return f"(seq {' '.join(parts)})"
+
+    def _race(self, protocols, used: set[int]) -> str:
+        """Two echo sessions race; the winner's branch sends one message and ends.
+
+        The loser's answer stays in the queue of a session that only the
+        finished client holds, and the branch's message may be queued
+        before the service has consumed its session request.
+        """
+        i = self.rng.randrange(len(protocols))
+        used.add(i)
+        _, op, arity = protocol = protocols[i][0]
+        branches = []
+        for e in ("e1", "e2"):
+            sent_op, sent_arity = self._wrong(op, arity) if self.rng.random() < 0.5 else protocol[1:]
+            send = f"(inv t {sent_op} {self._args(sent_arity, 'd')})"
+            branches.append(f"(on (rec {e} ans ()) (seq (ses t l{i}) {send}))")
+        return ("(seq (ses e1 le) (ses e2 le) (inv e1 ask ()) (inv e2 ask ()) "
+                f"(pic {' '.join(branches)}))")
+
+    def manifest(self) -> dict[str, str]:
+        protocols = [self._protocol() for _ in range(self.rng.randrange(1, 3))]
+        files = {f"svc{i}.seb": self._service(p) for i, p in enumerate(protocols)}
+        sessions = []
+        used = set()
+        for k in range(self.rng.randrange(1, 4)):
+            i = self.rng.randrange(len(protocols))
+            used.add(i)
+            sessions.append(self._session(f"s{k}", f"l{i}", protocols[i]))
+        if self.rng.random() < 0.15:
+            files["kicker.seb"] = "(pic (on (rec s0 kick ()) (inv s0 poke ())))\n"
+            sessions.append(
+                "(seq (ses k lk) (inv k kick ()) (rep (do (pic (on (rec k poke ()) "
+                "(seq (ses k lk) (inv k kick ()))))) (until (pic (on (rec k bye ()) (nil))))))"
+            )
+        combine = self.rng.choice(("seq", "flo"))
+        if self.rng.random() < 0.2:
+            # In parallel with other sessions, the race's long sequence
+            # would make the client's graph too large for a quick test.
+            sessions.append(self._race(protocols, used))
+            files["echo.seb"] = "(pic (on (rec s0 ask ()) (inv s0 ans ())))\n"
+            combine = "seq"
+        client = sessions[0] if len(sessions) == 1 else f"({combine} {' '.join(sessions)})"
+        files["client.seb"] = client + "\n"
+        lines = []
+        for name in sorted(files):
+            if name.startswith("svc"):
+                i = int(name[3:-4])
+                bind = ' :bind (d "x")' if "(d)" in files[name] else ""
+                lines.append(f"(service svc{i} :file {name} :at loc{i}{bind})")
+            elif name == "kicker.seb":
+                lines.append("(service kicker :file kicker.seb :at kickloc)")
+            elif name == "echo.seb":
+                lines.append("(service echo :file echo.seb :at echoloc)")
+        binds = [f"(l{i} loc{i})" for i in sorted(used)]
+        if "kicker.seb" in files:
+            binds.append("(lk kickloc)")
+        if "echo.seb" in files:
+            binds.append("(le echoloc)")
+        if "(d)" in client:
+            binds.append('(d "x")')
+        lines.append(f"(client :file client.seb :bind {' '.join(binds)})")
+        files["deployed.cfg"] = "\n".join(lines) + "\n"
+        return files
+
+
+def write_manifest(directory, files: dict[str, str]):
+    """Write the files of a generated manifest; return the manifest's path."""
+    from pathlib import Path
+
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (directory / name).write_text(text, encoding="utf-8")
+    return directory / "deployed.cfg"

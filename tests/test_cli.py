@@ -233,8 +233,8 @@ def test_check_mismatch_unsafe_with_trace(capsys):
     assert "SES1" in out and "SES2" in out and "INV" in out
 
 
-def test_check_looping_exhausted(capsys):
-    assert main(["check", "corpus/looping.cfg", "--max-configs", "10"]) == 4
+def test_check_flooding_exhausted(capsys):
+    assert main(["check", "fixtures/flooding.cfg", "--max-configs", "10"]) == 4
     assert "Exhausted" in capsys.readouterr().out
 
 
@@ -305,7 +305,9 @@ def test_compile_byte_identical_across_hash_seeds(tmp_path):
     "args, code",
     [
         (("fixtures/mismatch.cfg", "--trace"), 1),
-        (("corpus/looping.cfg", "--max-configs", "300"), 4),
+        (("fixtures/flooding.cfg", "--max-configs", "300"), 4),
+        (("bench/inputs/qc-deployed/deployed.cfg", "--max-configs", "10000"), 0),
+        (("fixtures/flooding.cfg",), 4),
     ],
 )
 def test_check_byte_identical_across_hash_seeds(args, code):

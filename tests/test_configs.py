@@ -473,7 +473,7 @@ def test_service_order_does_not_change_the_verdict():
 
 
 def test_exploration_builds_each_successor_table_once(monkeypatch):
-    loaded = load_manifest(ROOT / "corpus/looping.cfg")
+    loaded = load_manifest(ROOT / "fixtures/flooding.cfg")
     graphs = {id(svc.graph) for svc in loaded.services} | {id(loaded.client.graph)}
     built = []
     original = ControlGraph.outgoing

@@ -20,6 +20,9 @@ from conftest import ROOT
 
 MISMATCH = ("91eb2d84fc12027038892957666228ac078c234bb914085f0546ca20dda51c56", 1)
 PINGPONG = ("47a8960824151b9fbffab5d7395f335ba56dc076d4b83edb8a6ebab48188d43a", 0)
+# looping.cfg is finite up to symmetry: at every bound it prints
+# "Verified (8 configurations)", as pingpong.cfg does.
+LOOPING = PINGPONG
 
 CHECK_TRACE_DIGESTS = {
     ("fixtures/mismatch.cfg", 10): MISMATCH,
@@ -28,15 +31,9 @@ CHECK_TRACE_DIGESTS = {
     ("corpus/pingpong.cfg", 10): PINGPONG,
     ("corpus/pingpong.cfg", 500): PINGPONG,
     ("corpus/pingpong.cfg", 2000): PINGPONG,
-    ("corpus/looping.cfg", 10): (
-        "a488d316ff2e6a8998756a3edcd8adb89a06fe0dbbd1fb3c731957be6d877679", 4
-    ),
-    ("corpus/looping.cfg", 500): (
-        "354b0e57bb13fa703f96d12c1c820e6f17e93a61261e5178c8fc15ee39af6c71", 4
-    ),
-    ("corpus/looping.cfg", 2000): (
-        "37132cefa3e57573aa71ab0fdac290838cc9fd55426f2bced072519f9270f587", 4
-    ),
+    ("corpus/looping.cfg", 10): LOOPING,
+    ("corpus/looping.cfg", 500): LOOPING,
+    ("corpus/looping.cfg", 2000): LOOPING,
 }
 
 # SHA-256 over every ``ConfigStep.render()`` (one per line) that

@@ -55,7 +55,7 @@ def test_compile_runs_one_closure(flags, closures, confluence, calls, tmp_path):
 
 @pytest.mark.parametrize(
     "manifest, activities",
-    [("corpus/looping.cfg", 2), ("bench/inputs/qc-deployed/deployed.cfg", 4)],
+    [("fixtures/flooding.cfg", 2), ("bench/inputs/qc-deployed/deployed.cfg", 4)],
 )
 def test_check_runs_one_closure_per_activity(manifest, activities, calls):
     assert main(["check", str(ROOT / manifest), "--max-configs", "10"]) == 4
