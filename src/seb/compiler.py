@@ -111,18 +111,13 @@ def _steps(c: LinkMap, act: Activity, cache: _Memo) -> tuple[Step, ...]:
 
     Interleaving states of a flow recompute the very same child
     configurations over and over; the per-build cache makes each distinct
-    (link map, residual) pair cost one derivation.
+    (link map, residual) pair cost one derivation.  The lookup is inline,
+    so the recursion over a nested tree takes one frame per level.
     """
     key = (c, act)
     hit = cache.steps.get(key)
     if hit is not None:
         return hit
-    result = _derive(c, act, cache)
-    cache.steps[key] = result
-    return result
-
-
-def _derive(c: LinkMap, act: Activity, cache: _Memo) -> tuple[Step, ...]:
     if isinstance(act, Nil):
         return ()
     if isinstance(act, Seq):
@@ -130,10 +125,12 @@ def _derive(c: LinkMap, act: Activity, cache: _Memo) -> tuple[Step, ...]:
 
     verdict = eval_join(c, act.jcd, act.tgt)
     if verdict is None:
+        cache.steps[key] = ()
         return ()
     if verdict is False:
         # Dead-path elimination cancels the whole subtree.
-        return ((TAU, c.set_links(False, all_sources(act)), NIL),)
+        result = cache.steps[key] = ((TAU, c.set_links(False, all_sources(act)), NIL),)
+        return result
 
     steps: list[Step] = []
     match act:
@@ -195,7 +192,8 @@ def _derive(c: LinkMap, act: Activity, cache: _Memo) -> tuple[Step, ...]:
         case _:
             raise TypeError(f"not an activity: {act!r}")
 
-    return tuple(dict.fromkeys(steps))
+    result = cache.steps[key] = tuple(dict.fromkeys(steps))
+    return result
 
 
 DEFAULT_STATE_CAP = 1_000_000

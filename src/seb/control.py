@@ -7,17 +7,21 @@ same input always yields bit-identical graphs.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .syntax import (
     Activity,
     And,
+    Inv,
     JoinExpr,
     LinkRef,
     Lit,
     Not,
     Or,
+    Rec,
+    Ses,
     all_links,
     join_links,
     structure_key,
@@ -192,6 +196,42 @@ class Recv:
 Action = Tau | SesInit | Send | Recv
 
 TAU = Tau()
+
+
+class VarKind(enum.Enum):
+    SESSION = "session"
+    LOCATION = "service-location"
+    EXCHANGEABLE = "exchangeable"
+
+
+def occurrences(action: Action | None) -> tuple[tuple[str, VarKind, bool], ...]:
+    """Every variable position of the action as ``(variable, kind, binds)``.
+
+    The one definition of occurrences, in order: the session, then the
+    location, the arguments or the parameters.  τ and ``None`` have none.
+    """
+    match action:
+        case SesInit(s, p):
+            return ((s, VarKind.SESSION, True), (p, VarKind.LOCATION, False))
+        case Send(s, _, args):
+            return ((s, VarKind.SESSION, False),
+                    *((a, VarKind.EXCHANGEABLE, False) for a in args))
+        case Recv(s, _, params):
+            return ((s, VarKind.SESSION, False),
+                    *((x, VarKind.EXCHANGEABLE, True) for x in params))
+    return ()
+
+
+def action_of(atom: Activity) -> Action | None:
+    """The action of a ``Ses``, ``Inv`` or ``Rec``; ``None`` for any other activity."""
+    match atom:
+        case Ses(s, p):
+            return SesInit(s, p)
+        case Inv(s, op, args):
+            return Send(s, op, args)
+        case Rec(s, op, params):
+            return Recv(s, op, params)
+    return None
 
 
 # --------------------------------------------------------------------------

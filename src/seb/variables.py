@@ -1,17 +1,20 @@
 """Static semantics of variables.
 
-Occurrence classification is purely syntactic; freeness is defined over
-paths of the compiled control graph: a variable is free when some run
-uses it before any binding for it has happened.  Freeness is computed on
-the compressed (pre-pruning) graph, where every schedule is still
-present, and is stable under the equivalence-preserving stages.
+Which positions of an action bind a variable and which use it, and at
+which kind, is ``control.occurrences``; everything here reads that
+table.  Occurrence classification is purely syntactic.  Freeness is
+defined over paths of the compiled control graph: a variable is free
+when some run uses it before any binding for it has happened, which one
+search per variable decides.  Freeness is computed on the compressed
+(pre-pruning) graph, where every schedule is still present, and is
+stable under the equivalence-preserving stages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .control import Action, ControlGraph, Recv, Send, SesInit
+from .control import ControlGraph, Recv, VarKind, action_of, occurrences
 from .diagnostics import (
     DOMAIN_MISMATCH,
     Diagnostic,
@@ -27,17 +30,14 @@ from .diagnostics import (
 )
 from .syntax import (
     Activity,
-    Inv,
     OWN_LOCATION,
     Pic,
     ROOT_SESSION as ROOT_SESSION_VAR,
-    Rec,
-    Ses,
     subacts,
 )
 from .compiler import build_prioritized_cg
 from .transforms import tau_compress
-from .wellformed import VarKind, infer_kinds
+from .wellformed import infer_kinds
 
 
 @dataclass(frozen=True)
@@ -49,26 +49,19 @@ class VarReport:
     forbidden: tuple[Diagnostic, ...]
 
 
-def action_bindings(action: Action) -> frozenset[str]:
-    match action:
-        case SesInit(s, _):
-            return frozenset((s,))
-        case Recv(_, _, params):
-            return frozenset(params)
-        case _:
-            return frozenset()
-
-
-def action_usages(action: Action) -> frozenset[str]:
-    match action:
-        case SesInit(_, p):
-            return frozenset((p,))
-        case Send(s, _, args):
-            return frozenset((s,)) | frozenset(args)
-        case Recv(s, _, _):
-            return frozenset((s,))
-        case _:
-            return frozenset()
+# Bindings that are forbidden occurrences: (variable, kind) -> (code, message).
+_FORBIDDEN_BINDINGS = {
+    (ROOT_SESSION_VAR, VarKind.SESSION): (
+        S0_INITIATED,
+        f"'{ROOT_SESSION_VAR}' is implicitly bound at service instantiation "
+        "and cannot be initiated",
+    ),
+    (OWN_LOCATION, VarKind.EXCHANGEABLE): (
+        P0_REBOUND,
+        f"'{OWN_LOCATION}' holds the own location and cannot be rebound by a "
+        "reception",
+    ),
+}
 
 
 def classify_occurrences(act: Activity, free: frozenset[str] | None = None) -> VarReport:
@@ -82,39 +75,13 @@ def classify_occurrences(act: Activity, free: frozenset[str] | None = None) -> V
     forbidden: list[Diagnostic] = []
 
     for path, sub in subacts(act).items():
-        match sub:
-            case Ses(s, p):
-                all_vars |= {s, p}
-                binding.add(s)
-                usage.add(p)
-                if s == ROOT_SESSION_VAR:
-                    forbidden.append(
-                        Diagnostic(
-                            S0_INITIATED,
-                            f"'{ROOT_SESSION_VAR}' is implicitly bound at service "
-                            "instantiation and cannot be initiated",
-                            path,
-                        )
-                    )
-            case Inv(s, _, args):
-                all_vars.add(s)
-                all_vars |= set(args)
-                usage.add(s)
-                usage |= set(args)
-            case Rec(s, _, params):
-                all_vars.add(s)
-                all_vars |= set(params)
-                usage.add(s)
-                binding |= set(params)
-                if OWN_LOCATION in params:
-                    forbidden.append(
-                        Diagnostic(
-                            P0_REBOUND,
-                            f"'{OWN_LOCATION}' holds the own location and cannot "
-                            "be rebound by a reception",
-                            path,
-                        )
-                    )
+        occs = occurrences(action_of(sub))
+        for var, _, binds in occs:
+            all_vars.add(var)
+            (binding if binds else usage).add(var)
+        bound = {(var, kind) for var, kind, binds in occs if binds}
+        for key in bound & _FORBIDDEN_BINDINGS.keys():
+            forbidden.append(Diagnostic(*_FORBIDDEN_BINDINGS[key], path))
 
     return VarReport(
         all_vars=frozenset(all_vars),
@@ -128,32 +95,26 @@ def classify_occurrences(act: Activity, free: frozenset[str] | None = None) -> V
 def free_vars_of_graph(g: ControlGraph) -> frozenset[str]:
     """Variables used before being bound along some path from the start.
 
-    A forward fixed point carries, per state, the antichain of minimal
-    bound-variable sets over incoming paths; a use is free as soon as one
-    carried set misses the variable (the definition is existential over
-    paths, so smaller bound sets dominate larger ones).
+    One search per variable: from ``g.init`` it follows only transitions
+    that do not bind the variable and stops at the first transition that
+    uses it, which makes the variable free.  A transition's uses count
+    before its own bindings.  The cost is O(V·(S+E)) for V variables.
     """
-    out = g.outgoing()
-    carried: list[set[frozenset[str]]] = [set() for _ in g.states]
-    carried[g.init] = {frozenset()}
+    out = [
+        [(occurrences(action), to) for action, to in edges] for edges in g.outgoing()
+    ]
     free: set[str] = set()
-
-    def add(state: int, bound: frozenset[str]) -> bool:
-        sets = carried[state]
-        if any(existing <= bound for existing in sets):
-            return False
-        for existing in [s for s in sets if bound < s]:
-            sets.discard(existing)
-        sets.add(bound)
-        return True
-
-    work = [g.init]
-    while work:
-        state = work.pop()
-        for bound in list(carried[state]):
-            for action, to in out[state]:
-                free |= action_usages(action) - bound
-                if add(to, bound | action_bindings(action)):
+    for var in {v for edges in out for occs, _ in edges for v, _, _ in occs}:
+        seen = {g.init}
+        work = [g.init]
+        while work and var not in free:
+            for occs, to in out[work.pop()]:
+                roles = [binds for v, _, binds in occs if v == var]
+                if False in roles:
+                    free.add(var)
+                    break
+                if True not in roles and to not in seen:
+                    seen.add(to)
                     work.append(to)
     return frozenset(free)
 

@@ -18,10 +18,9 @@ occurrences, not the square of the number of activities.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import replace
 
-from .control import find_cycle
+from .control import VarKind, action_of, find_cycle, occurrences
 from .diagnostics import (
     CONTAINMENT_CROSS,
     CYCLE,
@@ -38,17 +37,14 @@ from .syntax import (
     Activity,
     And,
     Flo,
-    Inv,
     LinkRef,
     Nil,
     OWN_LOCATION,
     Path,
     Pic,
     ROOT_SESSION,
-    Rec,
     Rep,
     Seq,
-    Ses,
     TRUE,
     all_sources,
     all_targets,
@@ -61,12 +57,6 @@ from .syntax import (
     pred_pairs,
     subacts,
 )
-
-
-class VarKind(enum.Enum):
-    SESSION = "session"
-    LOCATION = "service-location"
-    EXCHANGEABLE = "exchangeable"
 
 
 def infer_kinds(act: Activity) -> tuple[dict[str, VarKind], list[Diagnostic]]:
@@ -99,18 +89,8 @@ def infer_kinds(act: Activity) -> tuple[dict[str, VarKind], list[Diagnostic]]:
         kinds[var] = VarKind.LOCATION
 
     for path, sub in subacts(act).items():
-        match sub:
-            case Ses(s, p):
-                observe(s, VarKind.SESSION, path)
-                observe(p, VarKind.LOCATION, path)
-            case Inv(s, _, args):
-                observe(s, VarKind.SESSION, path)
-                for a in args:
-                    observe(a, VarKind.EXCHANGEABLE, path)
-            case Rec(s, _, params):
-                observe(s, VarKind.SESSION, path)
-                for x in params:
-                    observe(x, VarKind.EXCHANGEABLE, path)
+        for var, kind, _ in occurrences(action_of(sub)):
+            observe(var, kind, path)
 
     return kinds, list(clashes.values())
 

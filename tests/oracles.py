@@ -14,7 +14,7 @@ import itertools
 import random
 from collections import deque
 
-from seb.control import TAU, ControlGraph
+from seb.control import TAU, Action, ControlGraph, Recv, Send, SesInit
 from seb.syntax import (
     Activity,
     And,
@@ -627,6 +627,67 @@ def silent_path(n: int) -> ControlGraph:
 def silent_ring(n: int) -> ControlGraph:
     """The silent path with its last state stepping back to state 0."""
     return ControlGraph(n, 0, tuple((i, TAU, (i + 1) % n) for i in range(n)))
+
+
+# --------------------------------------------------------------------------
+# Reference freeness: the forward antichain fixed point over bound sets
+
+
+def action_bindings(action: Action) -> frozenset[str]:
+    match action:
+        case SesInit(s, _):
+            return frozenset((s,))
+        case Recv(_, _, params):
+            return frozenset(params)
+        case _:
+            return frozenset()
+
+
+def action_usages(action: Action) -> frozenset[str]:
+    match action:
+        case SesInit(_, p):
+            return frozenset((p,))
+        case Send(s, _, args):
+            return frozenset((s,)) | frozenset(args)
+        case Recv(s, _, _):
+            return frozenset((s,))
+        case _:
+            return frozenset()
+
+
+def reference_free_vars_of_graph(g: ControlGraph) -> frozenset[str]:
+    """Variables used before being bound along some path from the start.
+
+    A forward fixed point carries, per state, the antichain of minimal
+    bound-variable sets over incoming paths; a use is free as soon as one
+    carried set misses the variable (the definition is existential over
+    paths, so smaller bound sets dominate larger ones).  Exponential in
+    the number of independent choices between bindings, so only for
+    small graphs.
+    """
+    out = g.outgoing()
+    carried: list[set[frozenset[str]]] = [set() for _ in g.states]
+    carried[g.init] = {frozenset()}
+    free: set[str] = set()
+
+    def add(state: int, bound: frozenset[str]) -> bool:
+        sets = carried[state]
+        if any(existing <= bound for existing in sets):
+            return False
+        for existing in [s for s in sets if bound < s]:
+            sets.discard(existing)
+        sets.add(bound)
+        return True
+
+    work = [g.init]
+    while work:
+        state = work.pop()
+        for bound in list(carried[state]):
+            for action, to in out[state]:
+                free |= action_usages(action) - bound
+                if add(to, bound | action_bindings(action)):
+                    work.append(to)
+    return frozenset(free)
 
 
 # --------------------------------------------------------------------------
