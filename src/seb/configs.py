@@ -27,6 +27,45 @@ Exploration looks up, rather than recomputes, what each instance can do:
 * ``explore_safety`` keys what it has visited by ``canonical_key``, which
   forgets finished instances, dead sessions, the order of the instances
   and the names of session ids; each instance computes its part once.
+
+``explore_safety`` also reduces by partial order (ample sets, in the manner
+of Clarke, Grumberg, Minea and Peled): where it can, a configuration
+expands the steps of one actor only.  Three facts make that sound:
+
+* each session id is held by one instance at most, and session ids are
+  never sent, because payloads must be ``EXCHANGEABLE``: a session's
+  queue has one reader, its holder, and one writer, its partner's holder;
+* a service's location queue is popped by that service only, since
+  ``check_well_partnered`` allows one service per location;
+* popping the head of a non-empty queue commutes with appending to its
+  tail.
+
+So the steps of these actors commute with every step any other actor can
+take, and no other actor can enable or disable them:
+
+* a service that can take SES2: it pops its own queue; others only
+  append to it (two SES2 steps commute up to the order of the instances,
+  which ``canonical_key`` forgets);
+* an instance whose current edges are all sends: it only appends;
+* an instance whose current edges are all receptions on one variable,
+  bound to a session with a non-empty queue: only it pops that queue, so
+  the head and the receptions that match it stay as they are.
+
+SES1 never qualifies: it appends to a queue that other instances append
+to, and draws from the shared fresh counter.  Unsafety persists under
+the steps of other actors: they neither move the witness instance nor
+pop its queue, and an append leaves a non-empty queue's head alone; a
+fault step stays enabled, as it reads only its own instance.  So if a
+path of other actors' steps reaches an unsafe configuration, taking the
+chosen actor's step first reaches one too; and if the witness is the
+chosen instance itself, it has not moved, so the configuration it starts
+from is unsafe already.  The one cost is that an unsafe configuration may
+be found at a greater depth.  Two provisos keep the argument whole: every
+cycle of the reduced space passes a fully expanded configuration (the
+breadth-first proviso of Bošnački and Holzmann), so no actor is put off
+forever; and a configuration whose chosen successors would overflow
+``max_queue_len`` is expanded fully, so the bound cuts no path that a
+full expansion keeps.
 """
 
 from __future__ import annotations
@@ -705,48 +744,99 @@ def _max_queue(key: tuple) -> int:
     return max((len(items) for _, items in key[-1]), default=0)
 
 
+def _commutes(inst: Instance) -> bool:
+    """Whether every step ``inst`` can take commutes with every other actor's.
+
+    True when all its current edges are sends, or all are receptions on
+    one variable (the module docstring argues why).
+    """
+    edges = inst.edges.all
+    first = edges[0][0]
+    if isinstance(first, Send):
+        return all(isinstance(action, Send) for action, _ in edges)
+    return isinstance(first, Recv) and all(
+        isinstance(action, Recv) and action.s == first.s for action, _ in edges
+    )
+
+
+def _ample(config: RunningConfiguration, steps: list[ConfigStep]) -> list[int] | None:
+    """The indices in ``steps`` of one independent actor's steps, or None.
+
+    The actor is the first, in step order, that is a service taking SES2
+    or an instance whose steps all commute with the others' (``_commutes``);
+    an instance that can initiate a session never qualifies.
+    """
+    for step in steps:
+        who = step.who
+        if step.rule == "SES2" or _commutes(config.instances[who[1]]):
+            return [i for i, other in enumerate(steps) if other.who == who]
+    return None
+
+
 def explore_safety(
     services: list[DeployableService],
     client: Instance,
     max_configs: int = 100_000,
     max_queue_len: int = 16,
 ) -> ExploreResult:
-    """Breadth-first interaction-safety check of the reachable space.
+    """Breadth-first interaction-safety check with partial-order reduction.
 
     Configurations count once per ``canonical_key``; ``successors`` still
-    steps concrete ones, so every trace replays.  ``Verified`` means every
-    reachable configuration was visited and is safe.  Hitting either limit
-    downgrades the verdict to ``Exhausted``: verified only up to the
-    bound.  ``max_queue_len`` bounds the queues the key keeps.
+    steps concrete ones, so every trace replays, though it need not be the
+    shortest.  Each configuration expands the steps of one independent
+    actor (``_ample``) when there is one, and every step otherwise; it
+    expands every step after all when one of the actor's successors was
+    visited at a depth no greater than its own (so every cycle passes a
+    fully expanded configuration) or has a queue over ``max_queue_len``.
+    ``Verified`` means no reachable configuration is unsafe.  Hitting
+    either limit downgrades the verdict to ``Exhausted``: verified only up
+    to the bound.  ``max_queue_len`` bounds the queues the key keeps.
     """
     initial = make_initial_config(services, client)
     shapes: dict[tuple, int] = {}
     start = canonical_key(initial, shapes)
-    # Each visited key, with the key of the configuration a step first
-    # reached it from and that step; None for the initial configuration.
-    visited: dict[tuple, tuple[tuple, ConfigStep] | None] = {start: None}
+    # Each visited key, with its breadth-first depth, the key of the
+    # configuration a step first reached it from and that step; the
+    # initial configuration has neither.
+    visited: dict[tuple, tuple[int, tuple | None, ConfigStep | None]] = {
+        start: (0, None, None)
+    }
     truncated = False
 
     def trace_to(key: tuple) -> tuple[ConfigStep, ...]:
         trace = []
-        while (reached := visited[key]) is not None:
-            key, step = reached
+        _, key, step = visited[key]
+        while step is not None:
             trace.append(step)
+            _, key, step = visited[key]
         return tuple(reversed(trace))
 
     frontier = [(initial, start)]
+    depth = 0
     while frontier:
         next_frontier = []
         for config, key in frontier:
             witness = one_step_safe(config)
             if witness is not None:
                 return Unsafe(trace_to(key), witness, configurations=len(visited))
-            for step in successors(config):
+            steps = successors(config)
+            keys: list[tuple | None] = [None] * len(steps)
+            chosen = _ample(config, steps)
+            for i in chosen or ():
+                if steps[i].result.fault is not None:
+                    continue
+                keys[i] = succ_key = canonical_key(steps[i].result, shapes)
+                seen = visited.get(succ_key)
+                if _max_queue(succ_key) > max_queue_len or (seen and seen[0] <= depth):
+                    chosen = None
+                    break
+            for i in range(len(steps)) if chosen is None else chosen:
+                step = steps[i]
                 succ = step.result
                 if succ.fault is not None:
                     trace = trace_to(key) + (step,)
                     return Unsafe(trace, None, fault=succ.fault, configurations=len(visited))
-                succ_key = canonical_key(succ, shapes)
+                succ_key = keys[i] or canonical_key(succ, shapes)
                 if succ_key in visited:
                     continue
                 if _max_queue(succ_key) > max_queue_len:
@@ -756,9 +846,10 @@ def explore_safety(
                     return Exhausted(
                         len(visited), max_configs, max_queue_len, "configuration limit"
                     )
-                visited[succ_key] = (key, step)
+                visited[succ_key] = (depth + 1, key, step)
                 next_frontier.append((succ, succ_key))
         frontier = next_frontier
+        depth += 1
 
     if truncated:
         return Exhausted(len(visited), max_configs, max_queue_len, "queue length limit")

@@ -3,9 +3,9 @@
 Nothing here shares code with the package's step derivation or
 transforms: the step interpreter below works on plain dicts and was
 written directly from the derivation rules; the equivalence checkers are
-classic partition refinements.  The unreduced explorer shares the
-configuration step relation with the package, because what it checks is
-the package's reduction of the explored space.
+classic partition refinements.  The unreduced and symmetric explorers
+share the configuration step relation with the package, because what
+they check is the package's reduction of the explored space.
 """
 
 from __future__ import annotations
@@ -694,15 +694,13 @@ def reference_free_vars_of_graph(g: ControlGraph) -> frozenset[str]:
 # Unreduced exploration and random manifests
 
 
-def unreduced_explore_safety(services, client, max_configs=100_000, max_queue_len=16):
-    """Breadth-first safety check keyed by the concrete configurations.
+def _explore_every_step(services, client, key_of, kept_queues, max_configs, max_queue_len):
+    """Breadth-first safety check that expands every step of every configuration.
 
-    This is ``configs.explore_safety`` as it was before configurations
-    were keyed by ``canonical_key``: nothing is forgotten, so finished
-    instances and fresh session ids make configurations distinct, and
-    every queue counts towards ``max_queue_len``.  It shares the step
-    relation and the one-step check with the package; only the reduction
-    is under test.
+    ``key_of(config)`` tells visited configurations apart, and
+    ``kept_queues(config, key)`` gives the queues that count towards
+    ``max_queue_len``.  It shares the step relation and the one-step check
+    with the package; only the reduction is under test.
     """
     from seb.configs import (
         Exhausted,
@@ -714,43 +712,78 @@ def unreduced_explore_safety(services, client, max_configs=100_000, max_queue_le
     )
 
     initial = make_initial_config(services, client)
-    visited = {initial: None}
+    start = key_of(initial)
+    visited = {start: None}
     truncated = False
 
-    def trace_to(config):
+    def trace_to(key):
         trace = []
-        while (reached := visited[config]) is not None:
-            config, step = reached
+        while (reached := visited[key]) is not None:
+            key, step = reached
             trace.append(step)
         return tuple(reversed(trace))
 
-    frontier = [initial]
+    frontier = [(initial, start)]
     while frontier:
         next_frontier = []
-        for config in frontier:
+        for config, key in frontier:
             witness = one_step_safe(config)
             if witness is not None:
-                return Unsafe(trace_to(config), witness, configurations=len(visited))
+                return Unsafe(trace_to(key), witness, configurations=len(visited))
             for step in successors(config):
                 succ = step.result
                 if succ.fault is not None:
-                    trace = trace_to(config) + (step,)
+                    trace = trace_to(key) + (step,)
                     return Unsafe(trace, None, fault=succ.fault, configurations=len(visited))
-                if succ in visited:
+                succ_key = key_of(succ)
+                if succ_key in visited:
                     continue
-                if max((len(items) for _, items in succ.queues), default=0) > max_queue_len:
+                queues = kept_queues(succ, succ_key)
+                if max((len(items) for _, items in queues), default=0) > max_queue_len:
                     truncated = True
                     continue
                 if len(visited) >= max_configs:
                     return Exhausted(
                         len(visited), max_configs, max_queue_len, "configuration limit"
                     )
-                visited[succ] = (config, step)
-                next_frontier.append(succ)
+                visited[succ_key] = (key, step)
+                next_frontier.append((succ, succ_key))
         frontier = next_frontier
     if truncated:
         return Exhausted(len(visited), max_configs, max_queue_len, "queue length limit")
     return Verified(len(visited))
+
+
+def unreduced_explore_safety(services, client, max_configs=100_000, max_queue_len=16):
+    """Breadth-first safety check keyed by the concrete configurations.
+
+    This is ``configs.explore_safety`` as it was before configurations
+    were keyed by ``canonical_key``: nothing is forgotten, so finished
+    instances and fresh session ids make configurations distinct, and
+    every queue counts towards ``max_queue_len``.
+    """
+    return _explore_every_step(
+        services, client, lambda config: config, lambda config, _: config.queues,
+        max_configs, max_queue_len,
+    )
+
+
+def symmetric_explore_safety(services, client, max_configs=100_000, max_queue_len=16):
+    """Breadth-first safety check keyed by ``canonical_key``, expanding every step.
+
+    This is ``configs.explore_safety`` as it was before partial-order
+    reduction: every successor of every configuration is visited, so its
+    count is that of the whole symmetry-reduced space and its traces are
+    shortest.  Only the queues the key keeps count towards
+    ``max_queue_len``.
+    """
+    from seb.configs import canonical_key
+
+    shapes = {}
+    return _explore_every_step(
+        services, client, lambda config: canonical_key(config, shapes),
+        lambda _, key: key[-1], max_configs, max_queue_len,
+    )
 
 
 MESSAGE_OPS = ("a", "b", "c")

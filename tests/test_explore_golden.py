@@ -4,8 +4,9 @@ The digests were recorded from the explorer before its successor tables
 and configuration hashes were cached; the qc-deployed step renders were
 recorded before ``successors`` became one pass over the instances.  They
 pin the step order: the rules SES1, SES2, INV and REC over the instances,
-each in edge order, which fixes the BFS order, the configuration counts,
-the verdicts, the traces and the exit codes.
+each in edge order, which fixes the BFS order, the actor a configuration
+expands alone, the configuration counts, the verdicts, the traces and the
+exit codes.
 """
 
 import hashlib
@@ -19,9 +20,11 @@ from seb.manifest import load_manifest
 from conftest import ROOT
 
 MISMATCH = ("91eb2d84fc12027038892957666228ac078c234bb914085f0546ca20dda51c56", 1)
-PINGPONG = ("47a8960824151b9fbffab5d7395f335ba56dc076d4b83edb8a6ebab48188d43a", 0)
+# Re-recorded when partial-order reduction cut both counts: pingpong.cfg
+# from 8 configurations to 7, looping.cfg from 8 to 7.
+PINGPONG = ("c1935340257b8fe05fbc2007dd97e8cdf26d2e80e5bddb0cc5e9bef44473bb01", 0)
 # looping.cfg is finite up to symmetry: at every bound it prints
-# "Verified (8 configurations)", as pingpong.cfg does.
+# "Verified (7 configurations)", as pingpong.cfg does.
 LOOPING = PINGPONG
 
 CHECK_TRACE_DIGESTS = {

@@ -95,7 +95,7 @@ def test_validate_report_vars_on_sixteen_choices(tmp_path, capsys):
 def test_check_service_with_ten_choices(monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     assert main(["check", "fixtures/choices/choices.cfg"]) == 0
-    assert capsys.readouterr().out == "Verified (93 configurations)\n"
+    assert capsys.readouterr().out == "Verified (27 configurations)\n"
 
 
 # --------------------------------------------------------------------------
