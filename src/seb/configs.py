@@ -111,10 +111,10 @@ class ServiceLoc:
 
 @dataclass(frozen=True)
 class SessionId:
-    name: str
+    number: int
 
     def render(self) -> str:
-        return self.name
+        return f"#{self.number}"
 
 
 Value = Data | ServiceLoc | SessionId
@@ -183,7 +183,7 @@ class DeployableService:
     location: ServiceLoc  # the var map's OWN_LOCATION, set once by make_service
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Instance:
     """A running instance.
 
@@ -203,22 +203,11 @@ class Instance:
         self.edges = self.graph.successor_table()[self.state]
         self._vars = self._canon = None
 
-    def __hash__(self) -> int:
-        return hash((self.origin, self.var_map, self.graph, self.state))
-
 
 Queues = tuple[tuple[Value, tuple[Message, ...]], ...]
 
 
-def _session(k: int) -> SessionId:
-    return SessionId(f"#{k}")
-
-
-def _session_number(session: SessionId) -> int:
-    return int(session.name[1:])
-
-
-@dataclass(slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RunningConfiguration:
     """A configuration.
 
@@ -226,8 +215,6 @@ class RunningConfiguration:
     queue.  Session ids are drawn in pairs: the k-th session initiation
     binds ``#2k`` to ``#2k+1``, so the sessions bound so far are exactly
     ``#0`` to ``#fresh_counter-1``, and ``#k``'s partner is ``#(k xor 1)``.
-    The hash leaves out ``services``, which no step changes, and
-    ``fresh_counter``; equality compares every field.
     """
 
     services: tuple[DeployableService, ...]
@@ -236,21 +223,18 @@ class RunningConfiguration:
     fresh_counter: int = 0
     fault: Diagnostic | None = None
 
-    def __hash__(self) -> int:
-        return hash((self.instances, self.queues, self.fault))
-
     def queue(self, dest: Value) -> tuple[Message, ...]:
         return dict(self.queues).get(dest, ())
 
     def partner(self, session: SessionId) -> SessionId | None:
-        k = _session_number(session)
-        return _session(k ^ 1) if k < self.fresh_counter else None
+        k = session.number
+        return SessionId(k ^ 1) if k < self.fresh_counter else None
 
     @property
     def bindings(self) -> tuple[tuple[SessionId, SessionId], ...]:
-        """The bound pairs, ordered by the first id's name (``#10`` before ``#2``)."""
+        """The bound pairs, ordered by the first id's text (``#10`` before ``#2``)."""
         firsts = sorted(range(0, self.fresh_counter, 2), key=str)
-        return tuple((_session(k), _session(k + 1)) for k in firsts)
+        return tuple((SessionId(k), SessionId(k + 1)) for k in firsts)
 
 
 def _queue_key(entry: tuple[Value, tuple[Message, ...]]) -> tuple:
@@ -393,15 +377,15 @@ def make_initial_config(
 RuleTag = str  # "SES1" | "SES2" | "INV" | "REC"
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(slots=True)
 class ConfigStep:
     """One rule application: ``rule`` taken by ``actor``, as ``detail`` says.
 
     Exploration builds far more steps than it prints, so the text is kept
     in parts and rendered when read: ``who`` is a service name or an
     instance's ``(origin, index)``, and ``what`` lists the words of the
-    detail, each a string or something with ``render()``.  Equality and
-    hashing compare the rendered text and the result.
+    detail, each a string or something with ``render()``.  Steps compare
+    by their fields and are not hashable.
     """
 
     rule: RuleTag
@@ -417,17 +401,6 @@ class ConfigStep:
     @property
     def detail(self) -> str:
         return " ".join(w if isinstance(w, str) else w.render() for w in self.what)
-
-    def _text(self) -> tuple:
-        return (self.rule, self.actor, self.detail, self.result)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConfigStep):
-            return NotImplemented
-        return self._text() == other._text()
-
-    def __hash__(self) -> int:
-        return hash(self._text())
 
     def render(self) -> str:
         return f"{self.rule} {self.actor} {self.detail}"
@@ -465,12 +438,15 @@ def successors(config: RunningConfiguration) -> list[ConfigStep]:
     if config.fault is not None:
         return []
     counter = config.fresh_counter
-    # The queues by destination name, sessions apart from services: a name
-    # is a str, which hashes in C, where a value's hash is a Python call.
-    at_service: dict[str, tuple[Message, ...]] = {}
-    at_session: dict[str, tuple[Message, ...]] = {}
+    # The queues of services by name and of sessions by number: a str or an
+    # int hashes in C, where a value's hash is a Python call.
+    service_queue: dict[str, tuple[Message, ...]] = {}
+    session_queue: dict[int, tuple[Message, ...]] = {}
     for dest, items in config.queues:
-        (at_session if isinstance(dest, SessionId) else at_service)[dest.name] = items
+        if isinstance(dest, SessionId):
+            session_queue[dest.number] = items
+        else:
+            service_queue[dest.name] = items
     ses1: list[ConfigStep] = []
     inv: list[ConfigStep] = []
     rec: list[ConfigStep] = []
@@ -495,11 +471,11 @@ def successors(config: RunningConfiguration) -> list[ConfigStep]:
                     why = f"initiates on '{action.p}' which holds no location"
                     ses1.append(fault("SES1", who, action, BROKEN_BINDING, why))
                     continue
-                request = NewSession(_session(counter + 1))
+                request = NewSession(SessionId(counter + 1))
                 queued = _queue_set(
-                    config.queues, target, at_service.get(target.name, ()) + (request,)
+                    config.queues, target, service_queue.get(target.name, ()) + (request,)
                 )
-                bound = var_map_set(var_map, {action.s: _session(counter)})
+                bound = var_map_set(var_map, {action.s: SessionId(counter)})
                 result = _advance(config, idx, to, bound, queued, counter + 2)
                 what = (action, "->", request, "at", target)
                 ses1.append(ConfigStep("SES1", who, what, result))
@@ -523,7 +499,7 @@ def successors(config: RunningConfiguration) -> list[ConfigStep]:
                     continue
                 message = OpMessage(action.op, payload)
                 queued = _queue_set(
-                    config.queues, partner, at_session.get(partner.name, ()) + (message,)
+                    config.queues, partner, session_queue.get(partner.number, ()) + (message,)
                 )
                 result = _advance(config, idx, to, var_map, queued, counter)
                 what = (action, "->", message, "to", partner)
@@ -531,7 +507,7 @@ def successors(config: RunningConfiguration) -> list[ConfigStep]:
             elif isinstance(action, Recv):
                 # REC: consume a matching head message.
                 own = var_map_get(var_map, action.s)
-                queue = at_session.get(own.name, ()) if isinstance(own, SessionId) else ()
+                queue = session_queue.get(own.number, ()) if isinstance(own, SessionId) else ()
                 head = queue[0] if queue else None
                 if not isinstance(head, OpMessage) or not _accepts(action, head):
                     continue
@@ -543,7 +519,7 @@ def successors(config: RunningConfiguration) -> list[ConfigStep]:
     # SES2: a service consumes a session request and spawns an instance.
     ses2: list[ConfigStep] = []
     for svc in config.services:
-        queue = at_service.get(svc.location.name, ())
+        queue = service_queue.get(svc.location.name, ())
         if not queue or not isinstance(queue[0], NewSession):
             continue
         head = queue[0]
@@ -592,9 +568,9 @@ def one_step_safe(config: RunningConfiguration) -> UnsafeWitness | None:
     operation message, the instance is open for reception on that session,
     yet no outgoing reception matches the head's operation and arity.
     """
-    # Keyed by name, as in ``successors``; only session queues hold
+    # Keyed by number, as in ``successors``; only session queues hold
     # operation messages.
-    heads = {dest.name: items[0] for dest, items in config.queues
+    heads = {dest.number: items[0] for dest, items in config.queues
              if isinstance(items[0], OpMessage)}
     if not heads:
         return None
@@ -603,7 +579,7 @@ def one_step_safe(config: RunningConfiguration) -> UnsafeWitness | None:
         if not recvs:
             continue  # open for reception on no session
         for var, value in inst.var_map:
-            head = heads.get(value.name) if isinstance(value, SessionId) else None
+            head = heads.get(value.number) if isinstance(value, SessionId) else None
             if head is None:
                 continue
             receptions = [action for action, _ in recvs if action.s == var]
@@ -671,7 +647,7 @@ def _canon(inst: Instance, shapes: dict[tuple, int]) -> tuple:
         sessions = []
         for var, value in inst.var_map:
             if isinstance(value, SessionId):
-                sessions.append(_session_number(value))
+                sessions.append(value.number)
                 value = _ANY_SESSION[sessions[-1] & 1]
             blanked.append((var, value))
         unstated = (inst.origin, inst.graph, tuple(blanked))
@@ -726,12 +702,12 @@ def canonical_key(config: RunningConfiguration, shapes: dict[tuple, int]) -> tup
         if isinstance(dest, ServiceLoc):
             renamed = []
             for request in items:
-                k = _session_number(request.session)
+                k = request.session.number
                 held.add(k)
                 renamed.append(2 * pairs.setdefault(k >> 1, len(pairs)) + (k & 1))
             kept.append((dest.name, tuple(renamed)))
         else:
-            k = _session_number(dest)
+            k = dest.number
             if k in held:
                 sessions_kept.append((2 * pairs[k >> 1] + (k & 1), items))
     sessions_kept.sort(key=_FIRST)

@@ -6,7 +6,8 @@ A manifest is a sequence of service entries and exactly one client::
     (client :file <path.seb> :bind (var <loc-or-"text">)*)
 
 Bare identifiers in bindings are service locations, quoted strings are
-data values.  File paths are resolved relative to the manifest.
+data values.  File paths are resolved relative to the manifest.  The
+services must be well partnered (``configs.check_well_partnered``).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .configs import (
     Instance,
     ServiceLoc,
     Value,
+    check_well_partnered,
     make_client,
     make_service,
 )
@@ -171,6 +173,10 @@ def load_manifest(path) -> LoadedManifest:
             client_form = form
         else:
             raise _err(form.items[0], f"unknown manifest entry '{head}'")
+
+    problems = check_well_partnered(services)
+    if problems:
+        raise ManifestError(f"{path}: " + "; ".join(str(d) for d in problems))
 
     if client_form is None:
         raise ManifestError(f"{path}: no client entry")

@@ -5,7 +5,7 @@ which kind, is ``control.occurrences``; everything here reads that
 table.  Occurrence classification is purely syntactic.  Freeness is
 defined over paths of the compiled control graph: a variable is free
 when some run uses it before any binding for it has happened, which one
-search per variable decides.  Freeness is computed on the compressed
+search per variable decides.  Freeness is computed on the prioritized
 (pre-pruning) graph, where every schedule is still present, and is
 stable under the equivalence-preserving stages.
 """
@@ -36,7 +36,6 @@ from .syntax import (
     subacts,
 )
 from .compiler import build_prioritized_cg
-from .transforms import tau_compress
 from .wellformed import infer_kinds
 
 
@@ -120,13 +119,12 @@ def free_vars_of_graph(g: ControlGraph) -> frozenset[str]:
 
 
 def free_vars(act: Activity) -> frozenset[str]:
-    """Free variables of ``act``, read off its compressed control graph.
+    """Free variables of ``act``, read off its prioritized control graph.
 
     The silent steps that prioritization skips carry no variable
-    occurrences and compression preserves equivalence, so freeness is
-    unaffected.
+    occurrences, so freeness is unaffected.
     """
-    return free_vars_of_graph(tau_compress(build_prioritized_cg(act)))
+    return free_vars_of_graph(build_prioritized_cg(act))
 
 
 def open_for_reception(g: ControlGraph, state: int, s: str) -> bool:

@@ -60,7 +60,7 @@ def step_by(config: RunningConfiguration, rendered: str) -> RunningConfiguration
 def shape(inst: Instance) -> tuple:
     """What the key sorts an instance by, written out independently."""
     blanked = tuple(
-        (var, ("session", int(v.name[1:]) % 2) if isinstance(v, SessionId) else v)
+        (var, ("session", v.number % 2) if isinstance(v, SessionId) else v)
         for var, v in inst.var_map
     )
     return (inst.origin, id(inst.graph), inst.state, blanked)
@@ -78,8 +78,8 @@ def renamed(config: RunningConfiguration, rng: random.Random) -> RunningConfigur
     def rename(value):
         if not isinstance(value, SessionId):
             return value
-        k = int(value.name[1:])
-        return SessionId(f"#{2 * pairs[k >> 1] + (k & 1)}")
+        k = value.number
+        return SessionId(2 * pairs[k >> 1] + (k & 1))
 
     shapes = sorted({shape(inst) for inst in config.instances}, key=repr)
     rng.shuffle(shapes)
@@ -133,7 +133,7 @@ def test_key_forgets_finished_instances_and_dead_queues():
     key = canonical_key(final, shapes)
     assert key == (0, ())
     # A late message to a session that only finished instances hold.
-    late = replace(final, queues=((SessionId("#0"), (OpMessage("late", ()),)),))
+    late = replace(final, queues=((SessionId(0), (OpMessage("late", ()),)),))
     assert canonical_key(late, shapes) == key
 
 

@@ -244,6 +244,22 @@ def test_check_manifest_error_exit_two(tmp_path):
     assert main(["check", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize(
+    "manifest, code",
+    [
+        ("fixtures/dup_location.cfg", "DUP_LOCATION"),
+        ("fixtures/dangling_partner.cfg", "DANGLING_PARTNER"),
+    ],
+)
+def test_badly_partnered_manifest_is_an_input_error(command, manifest, code, capsys):
+    assert main([command, manifest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {manifest}: {code} at /: ")
+
+
 def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")

@@ -50,7 +50,8 @@ def manifest_files(cfg: Path) -> dict[str, str]:
     """The manifest's text and the activity files it names, by relative name."""
     text = cfg.read_text(encoding="utf-8")
     files = {cfg.name: text}
-    for name in re.findall(r":file (\S+)", text):
+    for quoted, bare in re.findall(r':file\s+(?:"([^"]*)"|(\S+))', text):
+        name = quoted or bare
         files[name] = (cfg.parent / name).read_text(encoding="utf-8")
     return files
 
@@ -159,14 +160,20 @@ def run_on_activity(text: str) -> None:
 
 
 def run_on_manifest(files: dict[str, str]) -> None:
+    # The manifest sits one level down for every ".." its names hold, so
+    # every file it names lands inside the temporary directory.
+    climb = max(Path(name).parts.count("..") for name in files)
     with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp).resolve()
+        base = root.joinpath(*["m"] * climb)
         for name, text in files.items():
-            target = Path(tmp) / name
+            target = (base / name).resolve()
+            assert target.is_relative_to(root), name
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(text, encoding="utf-8")
         cfg = next(name for name in files if name.endswith(".cfg"))
-        run("check", str(Path(tmp) / cfg), "--max-configs", "200")
-        run("simulate", str(Path(tmp) / cfg), "--steps", "20")
+        run("check", str(base / cfg), "--max-configs", "200")
+        run("simulate", str(base / cfg), "--steps", "20")
 
 
 @FUZZ

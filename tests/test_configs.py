@@ -143,9 +143,9 @@ def test_session_initiation_then_spawn_then_send(ping_setup):
     [ses1] = successors(config)
     assert ses1.rule == "SES1"
     after_init = ses1.result
-    assert after_init.queue(ServiceLoc("svc")) == (NewSession(SessionId("#1")),)
-    assert after_init.bindings == ((SessionId("#0"), SessionId("#1")),)
-    assert var_map_get(after_init.instances[0].var_map, "s") == SessionId("#0")
+    assert after_init.queue(ServiceLoc("svc")) == (NewSession(SessionId(1)),)
+    assert after_init.bindings == ((SessionId(0), SessionId(1)),)
+    assert var_map_get(after_init.instances[0].var_map, "s") == SessionId(0)
 
     rules = {step.rule: step for step in successors(after_init)}
     assert set(rules) == {"SES2", "INV"}
@@ -154,23 +154,23 @@ def test_session_initiation_then_spawn_then_send(ping_setup):
     assert len(after_spawn.instances) == 2
     spawned = after_spawn.instances[1]
     assert spawned.origin == "ping"
-    assert var_map_get(spawned.var_map, "s0") == SessionId("#1")
+    assert var_map_get(spawned.var_map, "s0") == SessionId(1)
     assert after_spawn.queue(ServiceLoc("svc")) == ()
 
     after_send = next(s for s in successors(after_spawn) if s.rule == "INV").result
-    assert after_send.queue(SessionId("#1")) == (OpMessage("ping", (Data("hi"),)),)
+    assert after_send.queue(SessionId(1)) == (OpMessage("ping", (Data("hi"),)),)
 
 
 def test_partners_and_bindings_follow_the_fresh_counter(ping_setup):
     svc, client = ping_setup
     config = replace(make_initial_config([svc], client), fresh_counter=22)
-    assert config.partner(SessionId("#10")) == SessionId("#11")
-    assert config.partner(SessionId("#11")) == SessionId("#10")
-    assert config.partner(SessionId("#21")) == SessionId("#20")
-    assert config.partner(SessionId("#22")) is None
-    firsts = [a.name for a, _ in config.bindings]
-    assert firsts == ["#0", "#10", "#12", "#14", "#16", "#18", "#2", "#20", "#4", "#6", "#8"]
-    assert all(b.name == f"#{int(a.name[1:]) + 1}" for a, b in config.bindings)
+    assert config.partner(SessionId(10)) == SessionId(11)
+    assert config.partner(SessionId(11)) == SessionId(10)
+    assert config.partner(SessionId(21)) == SessionId(20)
+    assert config.partner(SessionId(22)) is None
+    firsts = [a.number for a, _ in config.bindings]
+    assert firsts == [0, 10, 12, 14, 16, 18, 2, 20, 4, 6, 8]
+    assert all(b.number == a.number + 1 for a, b in config.bindings)
 
 
 def test_reception_binds_parameters(ping_setup):
@@ -182,7 +182,7 @@ def test_reception_binds_parameters(ping_setup):
         config = step.result
     service_instance = config.instances[1]
     assert var_map_get(service_instance.var_map, "x") == Data("hi")
-    assert config.queue(SessionId("#1")) == ()
+    assert config.queue(SessionId(1)) == ()
 
 
 def test_send_on_unbound_session_is_a_fault():
@@ -223,7 +223,7 @@ FAULT_STEPS = [
     # INV on a bound session whose argument holds no value
     (
         "(inv s ping (msg))",
-        {"s": SessionId("#0"), "msg": None},
+        {"s": SessionId(0), "msg": None},
         2,
         ("INV", "client[0]", "s!ping(msg)"),
         Diagnostic(
@@ -260,7 +260,7 @@ def test_unexpected_head_is_unsafe(ping_setup):
     for rule in ("SES1", "SES2"):
         config = next(s for s in successors(config) if s.rule == rule).result
     # sneak a message the service cannot receive into its root session queue
-    bad = config.queues + ((SessionId("#1"), (OpMessage("pang", (Data("x"),)),)),)
+    bad = config.queues + ((SessionId(1), (OpMessage("pang", (Data("x"),)),)),)
     config = type(config)(
         services=config.services,
         instances=config.instances,
@@ -414,7 +414,7 @@ def test_fresh_session_ids_never_reused():
         initiations = 0
         for config in collect_reachable(list(loaded.services), loaded.client):
             ids = session_ids(config)
-            assert all(int(i.name[1:]) < config.fresh_counter for i in ids)
+            assert all(i.number < config.fresh_counter for i in ids)
             for step in successors(config):
                 if step.rule == "SES1":
                     initiations += 1
