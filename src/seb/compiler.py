@@ -87,15 +87,7 @@ class _Memo:
         self.nodes: dict = {}
 
     def intern(self, node: Activity) -> Activity:
-        prev = self.nodes.get(node)
-        if prev is None:
-            self.nodes[node] = node
-            return node
-        return prev
-
-    def intern_tree(self, root: Activity) -> None:
-        for node in subacts(root).values():
-            self.nodes.setdefault(node, node)
+        return self.nodes.setdefault(node, node)
 
 
 def enabled_steps(c: LinkMap, act: Activity) -> list[Step]:
@@ -199,12 +191,12 @@ def _steps(c: LinkMap, act: Activity, cache: _Memo) -> tuple[Step, ...]:
 DEFAULT_STATE_CAP = 1_000_000
 
 
-def _closure(
-    act: Activity, max_states: int, tau_first: bool, compress: bool = False
-) -> ControlGraph:
+def _closure(act: Activity, max_states: int, stage: str) -> ControlGraph:
+    """The closure behind the ``build_<stage>_cg`` of "raw", "prio" or "compress"."""
     root = desugar_seq(act)
     cache = _Memo()
-    cache.intern_tree(root)
+    for node in subacts(root).values():
+        cache.intern(node)
     ends: dict[State, State] = {}
 
     def normal_form(state: State) -> State:
@@ -216,7 +208,7 @@ def _closure(
         each of them to that endpoint; the cap counts all of them, so a
         silent loop stops at the cap instead of spinning.
         """
-        if not compress:
+        if stage != "compress":
             return state
         path = []
         while state not in ends:
@@ -244,7 +236,7 @@ def _closure(
         state = queue.popleft()
         sid = index[state]
         steps = _steps(state[0], state[1], cache)
-        if tau_first:
+        if stage != "raw":
             taus = [s for s in steps if s[0] == TAU]
             steps = taus or steps
         for action, c2, residual in steps:
@@ -270,7 +262,7 @@ def build_raw_cg(act: Activity, max_states: int = DEFAULT_STATE_CAP) -> ControlG
     of the desugared tree.  States keep their (link map, residual) payload
     and are numbered by ``renumber_bfs``.
     """
-    return _closure(act, max_states, tau_first=False)
+    return _closure(act, max_states, "raw")
 
 
 def build_prioritized_cg(
@@ -283,7 +275,7 @@ def build_prioritized_cg(
     pipeline (they are asserted equal in the tests) while sidestepping the
     interleaving explosion the priority rule exists to avoid.
     """
-    return _closure(act, max_states, tau_first=True)
+    return _closure(act, max_states, "prio")
 
 
 def build_compressed_cg(
@@ -299,7 +291,7 @@ def build_compressed_cg(
     without building any silent interleaving.
     ``max_states`` counts every state passed through, chased or indexed.
     """
-    return _closure(act, max_states, tau_first=True, compress=True)
+    return _closure(act, max_states, "compress")
 
 
 def state_upper_bound(act: Activity) -> int:

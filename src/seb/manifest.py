@@ -5,8 +5,9 @@ A manifest is a sequence of service entries and exactly one client::
     (service <name> :file <path.seb> :at <location> :bind (var <loc-or-"text">)*)
     (client :file <path.seb> :bind (var <loc-or-"text">)*)
 
-Bare identifiers in bindings are service locations, quoted strings are
-data values.  File paths are resolved relative to the manifest.  The
+Each keyword is given at most once, and service names are unique.  Bare
+identifiers in bindings are service locations, quoted strings are data
+values.  File paths are resolved relative to the manifest.  The
 services must be well partnered (``configs.check_well_partnered``).
 """
 
@@ -68,8 +69,13 @@ def _parse_bindings(items: list[Node]) -> dict[str, Value]:
     return bindings
 
 
-def _keyword_split(items: tuple[Node, ...]) -> tuple[dict[str, Node], list[Node]]:
-    """Split ``:key value`` pairs; trailing (var value) forms follow :bind."""
+def _keyword_split(
+    items: tuple[Node, ...], allowed: tuple[str, ...]
+) -> tuple[dict[str, Node], list[Node]]:
+    """Split ``:key value`` pairs; trailing (var value) forms follow :bind.
+
+    Each key must be one of ``allowed`` and given at most once.
+    """
     keyed: dict[str, Node] = {}
     binds: list[Node] = []
     i = 0
@@ -79,6 +85,11 @@ def _keyword_split(items: tuple[Node, ...]) -> tuple[dict[str, Node], list[Node]
             binds = list(items[i + 1 :])
             break
         if isinstance(item, Atom) and item.text.startswith(":"):
+            if item.text not in allowed:
+                expected = ", ".join(allowed + (":bind",))
+                raise _err(item, f"unknown keyword '{item.text}', expected {expected}")
+            if item.text in keyed:
+                raise _err(item, f"duplicate keyword '{item.text}'")
             if i + 1 >= len(items):
                 raise _err(item, f"'{item.text}' needs a value")
             keyed[item.text] = items[i + 1]
@@ -145,7 +156,9 @@ def load_manifest(path) -> LoadedManifest:
             if len(form.items) < 2 or not isinstance(form.items[1], Atom):
                 raise _err(form, "service entries start with a name")
             name = form.items[1].text
-            keyed, binds = _keyword_split(form.items[2:])
+            if any(svc.name == name for svc in services):
+                raise _err(form, f"service '{name}' is declared twice")
+            keyed, binds = _keyword_split(form.items[2:], (":file", ":at"))
             if ":file" not in keyed or ":at" not in keyed:
                 raise _err(form, "service entries need :file and :at")
             at_node = keyed[":at"]
@@ -181,7 +194,7 @@ def load_manifest(path) -> LoadedManifest:
     if client_form is None:
         raise ManifestError(f"{path}: no client entry")
 
-    keyed, binds = _keyword_split(client_form.items[1:])
+    keyed, binds = _keyword_split(client_form.items[1:], (":file",))
     if ":file" not in keyed:
         raise _err(client_form, "client entries need :file")
     act = _load_activity(base, keyed[":file"])

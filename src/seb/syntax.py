@@ -1,10 +1,11 @@
 """Activity trees for SeB orchestrations.
 
-Every activity except ``nil`` carries the common control fields: ``tgt``
-(incoming control links), ``src`` (outgoing control links) and ``jcd``
-(join condition over the incoming links).  A flow additionally declares
-the link scope ``lnk``.  All nodes are immutable and hashable, so
-residual activities can be used directly as state components.
+Every activity reads the common control fields: ``tgt`` (incoming
+control links), ``src`` (outgoing control links) and ``jcd`` (join
+condition over the incoming links), plus the link scope ``lnk``, which
+only a flow declares.  ``nil`` declares none of them and reads them
+empty.  All nodes are immutable and hashable, so residual activities can
+be used directly as state components.
 """
 
 from __future__ import annotations
@@ -83,13 +84,20 @@ def join_to_source(expr: JoinExpr) -> str:
 # Activities
 
 
+class _Activity:
+    """Field values for activities that do not declare them as fields."""
+
+    tgt = src = lnk = NO_LINKS
+    jcd = TRUE
+
+
 @dataclass(frozen=True)
-class Nil:
+class Nil(_Activity):
     pass
 
 
 @dataclass(frozen=True)
-class Ses:
+class Ses(_Activity):
     s: str
     p: str
     tgt: frozenset[str] = NO_LINKS
@@ -98,7 +106,7 @@ class Ses:
 
 
 @dataclass(frozen=True)
-class Inv:
+class Inv(_Activity):
     s: str
     op: str
     args: tuple[str, ...] = ()
@@ -108,7 +116,7 @@ class Inv:
 
 
 @dataclass(frozen=True)
-class Rec:
+class Rec(_Activity):
     s: str
     op: str
     params: tuple[str, ...] = ()
@@ -118,7 +126,7 @@ class Rec:
 
 
 @dataclass(frozen=True)
-class Seq:
+class Seq(_Activity):
     children: tuple["Activity", ...]
     tgt: frozenset[str] = NO_LINKS
     src: frozenset[str] = NO_LINKS
@@ -126,7 +134,7 @@ class Seq:
 
 
 @dataclass(frozen=True)
-class Flo:
+class Flo(_Activity):
     children: tuple["Activity", ...]
     tgt: frozenset[str] = NO_LINKS
     src: frozenset[str] = NO_LINKS
@@ -135,7 +143,7 @@ class Flo:
 
 
 @dataclass(frozen=True)
-class Pic:
+class Pic(_Activity):
     branches: tuple[tuple[Rec, "Activity"], ...]
     tgt: frozenset[str] = NO_LINKS
     src: frozenset[str] = NO_LINKS
@@ -143,7 +151,7 @@ class Pic:
 
 
 @dataclass(frozen=True)
-class Rep:
+class Rep(_Activity):
     do_pic: Pic
     until_pic: Pic
     tgt: frozenset[str] = NO_LINKS
@@ -152,7 +160,7 @@ class Rep:
 
 
 @dataclass(frozen=True)
-class Unf:
+class Unf(_Activity):
     """Running unfolding of a repeat; produced by the semantics, never parsed."""
 
     body: "Activity"
@@ -235,14 +243,6 @@ def describe_path(act: Activity, path: Path) -> str:
     return ":".join(parts)
 
 
-def fields_src(act: Activity) -> frozenset[str]:
-    return getattr(act, "src", NO_LINKS)
-
-
-def fields_tgt(act: Activity) -> frozenset[str]:
-    return getattr(act, "tgt", NO_LINKS)
-
-
 def all_sources(act: Activity, strict: bool = False) -> frozenset[str]:
     """Union of ``src`` declarations over the (strict) subactivity set."""
     return _links_below(act, "src", "_srcs", strict)
@@ -256,9 +256,7 @@ def all_links(act: Activity) -> frozenset[str]:
     """Every link name occurring in the tree (tgt, src or lnk declarations)."""
     links: set[str] = set()
     for sub in subacts(act).values():
-        links |= fields_src(sub)
-        links |= fields_tgt(sub)
-        links |= getattr(sub, "lnk", NO_LINKS)
+        links |= sub.src | sub.tgt | sub.lnk
     return frozenset(links)
 
 
@@ -270,7 +268,7 @@ def link_table(subs: dict[Path, Activity], field: str) -> dict[str, list[Path]]:
     """
     table: dict[str, list[Path]] = {}
     for path, sub in subs.items():
-        for link in getattr(sub, field, NO_LINKS):
+        for link in getattr(sub, field):
             table.setdefault(link, []).append(path)
     return table
 
@@ -310,14 +308,13 @@ def _links_to_source(links: frozenset[str]) -> str:
 
 def _common_fields(act: Activity) -> str:
     parts = []
-    if fields_tgt(act):
-        parts.append(f":tgt {_links_to_source(fields_tgt(act))}")
-    if fields_src(act):
-        parts.append(f":src {_links_to_source(fields_src(act))}")
-    jcd = getattr(act, "jcd", TRUE)
-    if jcd != TRUE:
-        parts.append(f":jcd {join_to_source(jcd)}")
-    if getattr(act, "lnk", NO_LINKS):
+    if act.tgt:
+        parts.append(f":tgt {_links_to_source(act.tgt)}")
+    if act.src:
+        parts.append(f":src {_links_to_source(act.src)}")
+    if act.jcd != TRUE:
+        parts.append(f":jcd {join_to_source(act.jcd)}")
+    if act.lnk:
         parts.append(f":lnk {_links_to_source(act.lnk)}")
     return (" " + " ".join(parts)) if parts else ""
 
@@ -418,7 +415,7 @@ def structure_key(act: Activity) -> tuple:
                 tuple(sorted(act.tgt)),
                 tuple(sorted(act.src)),
                 _join_key(act.jcd),
-                tuple(sorted(getattr(act, "lnk", NO_LINKS))),
+                tuple(sorted(act.lnk)),
             )
         key = own + tuple(structure_key(c) for c in child_nodes(act))
         object.__setattr__(act, "_okey", key)
@@ -436,9 +433,7 @@ def _activity_hash(self) -> int:
     return h
 
 
-_ACTIVITY_CLASSES = (Nil, Ses, Inv, Rec, Seq, Flo, Pic, Rep, Unf)
-
-for _cls in _ACTIVITY_CLASSES:
+for _cls in _Activity.__subclasses__():
     _cls.__hash__ = _activity_hash  # type: ignore[assignment]
 
 
@@ -452,7 +447,7 @@ def _links_below(
         )
     links = act.__dict__.get(memo)
     if links is None:
-        links = getattr(act, field, NO_LINKS)
+        links = getattr(act, field)
         for child in child_nodes(act):
             links |= _links_below(child, field, memo)
         object.__setattr__(act, memo, links)

@@ -208,27 +208,22 @@ def build_stages(
     if upto not in STAGES:
         raise ValueError(f"unknown stage '{upto}', expected one of {STAGES}")
     kwargs = {} if max_states is None else {"max_states": max_states}
+    last = STAGES.index(upto)
     stages: dict[str, ControlGraph] = {}
-    if upto == "raw" or from_raw:
+    if from_raw or upto == "raw":
         stages["raw"] = build_raw_cg(act, **kwargs)
-    if upto == "raw":
-        return stages
-    # Named per call, so wrappers installed on this module (as the
-    # benchmark's tracer does) see every stage.
-    if from_raw:
-        stages["prio"] = tau_prioritize(stages["raw"], validate=False)
+        if last >= 1:
+            stages["prio"] = tau_prioritize(stages["raw"], validate=False)
+        if last >= 2:
+            stages["compress"] = tau_compress(stages["prio"])
     elif upto == "prio":
         stages["prio"] = build_prioritized_cg(act, **kwargs)
-    if upto == "prio":
-        return stages
-    if from_raw:
-        g = tau_compress(stages["prio"])
     else:
-        g = build_compressed_cg(act, **kwargs)
-    stages["compress"] = g
-    reductions = (run_to_completion, minimize)
-    for name, reduce in zip(STAGES[3 : STAGES.index(upto) + 1], reductions):
-        g = stages[name] = reduce(g)
+        stages["compress"] = build_compressed_cg(act, **kwargs)
+    if last >= 3:
+        stages["rtc"] = run_to_completion(stages["compress"])
+    if last >= 4:
+        stages["min"] = minimize(stages["rtc"])
     return stages
 
 

@@ -50,8 +50,6 @@ from .syntax import (
     all_targets,
     contains_unf,
     describe_path,
-    fields_src,
-    fields_tgt,
     join_links,
     link_table,
     pred_pairs,
@@ -149,8 +147,7 @@ def validate_well_formed(act: Activity) -> list[Diagnostic]:
 
     # Join conditions range over the activity's own incoming links.
     for path, sub in subs.items():
-        jcd = getattr(sub, "jcd", TRUE)
-        stray = join_links(jcd) - fields_tgt(sub)
+        stray = join_links(sub.jcd) - sub.tgt
         if stray:
             out.append(
                 Diagnostic(
@@ -197,7 +194,7 @@ def validate_well_formed(act: Activity) -> list[Diagnostic]:
     for path, sub in subs.items():
         if not isinstance(sub, Rep):
             continue
-        if fields_tgt(sub.do_pic) or fields_tgt(sub.until_pic):
+        if sub.do_pic.tgt or sub.until_pic.tgt:
             out.append(
                 Diagnostic(
                     REP_INCOMING,
@@ -205,7 +202,7 @@ def validate_well_formed(act: Activity) -> list[Diagnostic]:
                     path,
                 )
             )
-        if fields_src(sub.do_pic):
+        if sub.do_pic.src:
             out.append(
                 Diagnostic(
                     REP_OUTGOING,

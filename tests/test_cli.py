@@ -260,6 +260,35 @@ def test_badly_partnered_manifest_is_an_input_error(command, manifest, code, cap
     assert line.startswith(f"error: {manifest}: {code} at /: ")
 
 
+PING = "(service ping :file pingpong_service.seb :at pingloc"
+CLIENT = '(client :file pingpong_client.seb :bind (p pingloc) (msg "marco"))'
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (f"{PING} :bogus 1)\n{CLIENT}\n", "1:54: unknown keyword ':bogus'"),
+        (f"{PING})\n{CLIENT.replace(' :bind', ' :at x :bind')}\n", "2:35: unknown keyword ':at'"),
+        (f"{PING} :at other)\n{CLIENT}\n", "1:54: duplicate keyword ':at'"),
+        (f"{PING})\n{PING[:-7]}pongloc)\n{CLIENT}\n", "2:1: service 'ping' is declared twice"),
+    ],
+    ids=["unknown", "misplaced", "repeated", "duplicate-service"],
+)
+def test_malformed_manifest_entry_is_an_input_error(
+    command, text, message, tmp_path, corpus_dir, capsys
+):
+    for name in ("pingpong_service.seb", "pingpong_client.seb"):
+        (tmp_path / name).write_text((corpus_dir / name).read_text())
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    assert main([command, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {message}")
+
+
 def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")

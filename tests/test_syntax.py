@@ -1,15 +1,30 @@
+from dataclasses import fields
+
 from seb.parser import parse_activity
 from seb.syntax import (
     Flo,
     Inv,
+    NIL,
+    Nil,
     Seq,
+    TRUE,
     all_links,
     all_sources,
     at_path,
     pred_pairs,
+    structure_key,
     subacts,
     to_source,
 )
+
+
+def test_nil_reads_empty_control_fields_it_does_not_declare():
+    assert (NIL.tgt, NIL.src, NIL.lnk, NIL.jcd) == (frozenset(), frozenset(), frozenset(), TRUE)
+    assert fields(Nil) == ()
+    assert Nil() == NIL and hash(Nil()) == hash(NIL)
+    assert repr(NIL) == "Nil()"
+    assert to_source(NIL) == "(nil)"
+    assert structure_key(NIL) == (0,)
 
 
 def test_subacts_atomic_is_reflexive_singleton():

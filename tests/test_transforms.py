@@ -6,6 +6,7 @@ from seb.export import from_aut, to_aut, to_dot
 from seb.parser import parse_activity, parse_activity_file
 from seb.syntax import Inv, Nil
 from seb.transforms import (
+    STAGES,
     TransformPreconditionError,
     build_stages,
     check_stage_invariants,
@@ -177,6 +178,30 @@ def test_atom_compiles_to_one_edge():
 def test_every_corpus_activity_has_a_single_sink(path):
     g = compile_stages(parse_activity_file(path), "min")
     assert len(g.sinks()) == 1
+
+
+# The stages each route builds, in order: the raw route prunes and
+# compresses the raw closure; the fused route starts at "prio" or
+# "compress" and never builds the other.
+ROUTES = {
+    ("raw", False): ["raw"],
+    ("prio", False): ["prio"],
+    ("compress", False): ["compress"],
+    ("rtc", False): ["compress", "rtc"],
+    ("min", False): ["compress", "rtc", "min"],
+    ("raw", True): ["raw"],
+    ("prio", True): ["raw", "prio"],
+    ("compress", True): ["raw", "prio", "compress"],
+    ("rtc", True): ["raw", "prio", "compress", "rtc"],
+    ("min", True): ["raw", "prio", "compress", "rtc", "min"],
+}
+
+
+@pytest.mark.parametrize("from_raw", [False, True])
+@pytest.mark.parametrize("upto", STAGES)
+def test_build_stages_returns_the_stages_of_its_route(upto, from_raw, quotecomparer):
+    stages = build_stages(quotecomparer, upto, from_raw=from_raw)
+    assert list(stages) == ROUTES[upto, from_raw]
 
 
 def test_stage_invariants_hold_on_random_activities():
