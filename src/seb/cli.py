@@ -19,8 +19,8 @@ from pathlib import Path
 from .compiler import StateCapExceeded
 from .configs import Exhausted, Unsafe, Verified, explore_safety, simulate
 from .export import to_aut, to_dot
-from .manifest import ManifestError, load_manifest
-from .parser import SebSyntaxError, parse_activity
+from .manifest import load_manifest
+from .parser import InputError, parse_activity_file
 from .transforms import STAGES, build_stages, check_stage_invariants
 from .variables import classify_occurrences
 from .wellformed import validate_well_formed
@@ -33,39 +33,23 @@ EXIT_EXHAUSTED = 4
 EXIT_INTERNAL = 5
 
 
-def _read_activity(path: str):
-    try:
-        return parse_activity(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise SystemExit(_input_error(f"{path}: {exc.strerror or exc}"))
-    except (SebSyntaxError, UnicodeDecodeError) as exc:
-        raise SystemExit(_input_error(f"{path}: {exc}"))
-
-
 def _int_at_least(low: int):
     """An argparse type: an integer no smaller than ``low``."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
 
+    parse.__name__ = "int"  # argparse reports a ValueError as "invalid int value"
     return parse
-
-
-def _input_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_INPUT
 
 
 def cmd_validate(args) -> int:
     results = []
     for path in args.files:
-        act = _read_activity(path)
+        act = parse_activity_file(path)
         results.append((act, validate_well_formed(act)))
 
     status = EXIT_OK
@@ -88,23 +72,19 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    act = _read_activity(args.file)
+    act = parse_activity_file(args.file)
     diagnostics = validate_well_formed(act)
     if diagnostics:
         for d in diagnostics:
             print(f"{args.file}: {d}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
 
-    try:
-        stages = build_stages(
-            act,
-            "min" if args.check_properties else args.stage,
-            from_raw=args.check_properties,
-            max_states=args.max_states,
-        )
-    except StateCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    stages = build_stages(
+        act,
+        "min" if args.check_properties else args.stage,
+        from_raw=args.check_properties,
+        max_states=args.max_states,
+    )
 
     if args.check_properties:
         failed = False
@@ -123,23 +103,14 @@ def cmd_compile(args) -> int:
         try:
             Path(args.output).write_text(text, encoding="utf-8")
         except OSError as exc:
-            return _input_error(f"{args.output}: {exc.strerror or exc}")
+            raise InputError(f"{args.output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
-def _load(args):
-    try:
-        return load_manifest(args.manifest)
-    except OSError as exc:
-        raise SystemExit(_input_error(f"{args.manifest}: {exc.strerror or exc}"))
-    except ManifestError as exc:
-        raise SystemExit(_input_error(str(exc)))
-
-
 def cmd_check(args) -> int:
-    loaded = _load(args)
+    loaded = load_manifest(args.manifest)
     result = explore_safety(
         list(loaded.services),
         loaded.client,
@@ -168,7 +139,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    loaded = _load(args)
+    loaded = load_manifest(args.manifest)
     result = simulate(
         list(loaded.services), loaded.client, steps=args.steps, seed=args.seed
     )
@@ -247,8 +218,14 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:
+    except SystemExit as exc:  # argparse: usage errors and --help
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except StateCapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
     except Exception as exc:
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -27,15 +27,16 @@ from .configs import (
     make_client,
     make_service,
 )
-from .control import ControlGraph
-from .parser import Atom, Node, SList, Str, SebSyntaxError, parse_activity, read_forms
+from .parser import (
+    Atom, InputError, Node, SList, Str, SebSyntaxError, parse_activity_file, read_forms,
+)
 from .syntax import OWN_LOCATION
 from .transforms import build_stages
 from .variables import classify_occurrences, free_vars_of_graph
 from .wellformed import validate_well_formed
 
 
-class ManifestError(Exception):
+class ManifestError(InputError):
     pass
 
 
@@ -99,55 +100,54 @@ def _keyword_split(
     return keyed, binds
 
 
-def _load_activity(base: Path, node: Node):
-    if not isinstance(node, (Atom, Str)):
-        raise _err(node, "expected a file path")
-    path = base / node.text
-    if not path.exists():
-        raise ManifestError(f"activity file not found: {path}")
-    try:
-        act = parse_activity(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ManifestError(f"{path}: {exc.strerror or exc}") from exc
-    except (SebSyntaxError, UnicodeDecodeError) as exc:
-        raise ManifestError(f"{path}: {exc}") from exc
+def _load_entry(
+    base: Path, form: SList, who: str, file_node: Node, binds: list[Node], own: dict[str, Value]
+):
+    """Load an entry's activity, compile it once and build its variable map.
+
+    ``own`` holds the variables the entry binds through keywords rather
+    than ``:bind``.  Returns the activity, the map, the free variables and
+    the minimal graph.
+    """
+    if not isinstance(file_node, (Atom, Str)):
+        raise _err(file_node, "expected a file path")
+    path = base / file_node.text
+    act = parse_activity_file(path)
     problems = validate_well_formed(act)
     if problems:
-        raise ManifestError(
-            f"{path}: " + "; ".join(str(d) for d in problems)
-        )
-    return act
-
-
-def _compile_entry(
-    act, bindings: dict[str, Value], own: set[str]
-) -> tuple[dict[str, Value | None], str, frozenset[str], ControlGraph]:
-    """Compile an entry's activity once and build its variable map.
-
-    Returns the map with ``bindings`` applied, the bound variables that do
-    not occur, the free variables and the minimal graph.
-    """
+        raise InputError(f"{path}: " + "; ".join(str(d) for d in problems))
+    bindings = _parse_bindings(binds)
+    if bindings.keys() & own.keys():
+        raise _err(form, f"bind '{OWN_LOCATION}' through :at, not :bind")
     stages = build_stages(act)
     free = free_vars_of_graph(stages["compress"])
     var_map: dict[str, Value | None] = {
-        v: None for v in classify_occurrences(act, free).all_vars | own
+        v: None for v in classify_occurrences(act, free).all_vars | own.keys()
     }
-    unknown = ", ".join(sorted(set(bindings) - set(var_map)))
+    unknown = ", ".join(sorted(bindings.keys() - var_map.keys()))
+    if unknown:
+        raise _err(form, f"{who} binds unknown variables: {unknown}")
     var_map.update(bindings)
-    return var_map, unknown, free, stages["min"]
+    var_map.update(own)
+    return act, var_map, free, stages["min"]
 
 
 def load_manifest(path) -> LoadedManifest:
+    """Load a manifest; every ``ManifestError`` starts with its path."""
     path = Path(path)
     try:
-        forms = read_forms(path.read_text(encoding="utf-8"))
-    except (SebSyntaxError, UnicodeDecodeError) as exc:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        return _load_forms(read_forms(text), path.parent)
+    except OSError as exc:
+        raise ManifestError(f"{path}: {exc.strerror or exc}") from exc
+    except (ManifestError, SebSyntaxError, UnicodeDecodeError) as exc:
         raise ManifestError(f"{path}: {exc}") from exc
 
-    base = path.parent
+
+def _load_forms(forms: list[Node], base: Path) -> LoadedManifest:
     services: list[DeployableService] = []
     client_form = None
-
     for form in forms:
         if not isinstance(form, SList) or not form.items or not isinstance(form.items[0], Atom):
             raise _err(form, "expected (service ...) or (client ...)")
@@ -164,22 +164,14 @@ def load_manifest(path) -> LoadedManifest:
             at_node = keyed[":at"]
             if not isinstance(at_node, Atom):
                 raise _err(at_node, "expected a location name")
-            act = _load_activity(base, keyed[":file"])
-            bindings = _parse_bindings(binds)
-            if OWN_LOCATION in bindings:
-                raise _err(form, f"bind '{OWN_LOCATION}' through :at, not :bind")
-            var_map, unknown, free, graph = _compile_entry(act, bindings, {OWN_LOCATION})
-            if unknown:
-                raise _err(
-                    form, f"service '{name}' binds unknown variables: {unknown}"
-                )
-            var_map[OWN_LOCATION] = ServiceLoc(at_node.text)
+            own = {OWN_LOCATION: ServiceLoc(at_node.text)}
+            act, var_map, free, graph = _load_entry(
+                base, form, f"service '{name}'", keyed[":file"], binds, own
+            )
             try:
                 services.append(make_service(name, var_map, act, graph, free))
             except ConfigurationError as exc:
-                raise ManifestError(
-                    f"service '{name}' is not deployable: {exc}"
-                ) from exc
+                raise ManifestError(f"service '{name}' is not deployable: {exc}") from exc
         elif head == "client":
             if client_form is not None:
                 raise _err(form, "a manifest holds exactly one client")
@@ -189,22 +181,18 @@ def load_manifest(path) -> LoadedManifest:
 
     problems = check_well_partnered(services)
     if problems:
-        raise ManifestError(f"{path}: " + "; ".join(str(d) for d in problems))
-
+        raise ManifestError("; ".join(str(d) for d in problems))
     if client_form is None:
-        raise ManifestError(f"{path}: no client entry")
+        raise ManifestError("no client entry")
 
     keyed, binds = _keyword_split(client_form.items[1:], (":file",))
     if ":file" not in keyed:
         raise _err(client_form, "client entries need :file")
-    act = _load_activity(base, keyed[":file"])
-    bindings = _parse_bindings(binds)
-    var_map, unknown, _, graph = _compile_entry(act, bindings, set())
-    if unknown:
-        raise ManifestError(f"client binds unknown variables: {unknown}")
+    act, var_map, _, graph = _load_entry(
+        base, client_form, "client", keyed[":file"], binds, {}
+    )
     try:
         client = make_client(var_map, act, graph, services)
     except ConfigurationError as exc:
         raise ManifestError(f"client is not valid: {exc}") from exc
-
     return LoadedManifest(tuple(services), client)

@@ -1,6 +1,6 @@
 """Concrete s-expression syntax for activity files.
 
-Grammar (``;`` starts a line comment)::
+Grammar (``;`` outside a string starts a line comment)::
 
     act   ::= "(nil)" | "(" kind head field* body ")"
     kind  ::= "ses" | "inv" | "rec" | "seq" | "flo" | "pic" | "rep"
@@ -39,6 +39,10 @@ from .syntax import (
     Ses,
     TRUE,
 )
+
+
+class InputError(Exception):
+    """An input that cannot be used; the message starts with the file's path."""
 
 
 class SebSyntaxError(Exception):
@@ -83,17 +87,20 @@ Node = Atom | Str | SList
 # recursion limit, measured on nested seq, flo, pic, rep and join forms.
 MAX_NESTING = 492
 
-_TOKEN = re.compile(r'\(|\)|"(?:[^"\\]|\\.)*"|[^\s()";]+')
+# A lone ``;`` starts a comment and a lone ``"`` an unterminated string.
+_TOKEN = re.compile(r'\(|\)|"(?:[^"\\]|\\.)*"|[^\s()";]+|;|"')
 
 
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
     tokens = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        cut = line.find(";")
-        if cut >= 0:
-            line = line[:cut]
         for m in _TOKEN.finditer(line):
-            tokens.append((m.group(0), lineno, m.start() + 1))
+            tok = m.group(0)
+            if tok == ";":
+                break
+            if tok == '"':
+                raise SebSyntaxError("unterminated string", lineno, m.start() + 1)
+            tokens.append((tok, lineno, m.start() + 1))
     return tokens
 
 
@@ -317,5 +324,11 @@ def parse_activity(text: str) -> Activity:
 
 
 def parse_activity_file(path) -> Activity:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_activity(fh.read())
+    """Parse the activity in a UTF-8 file; any failure is an ``InputError``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_activity(fh.read())
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from exc
+    except (SebSyntaxError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: {exc}") from exc

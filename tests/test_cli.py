@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from seb.cli import main
+from seb.compiler import StateCapExceeded
 from seb.manifest import ManifestError, load_manifest
 from seb.transforms import STAGES
 
@@ -286,7 +287,52 @@ def test_malformed_manifest_entry_is_an_input_error(
     captured = capsys.readouterr()
     assert captured.out == ""
     [line] = captured.err.splitlines()
-    assert line.startswith(f"error: {message}")
+    assert line.startswith(f"error: {bad}: {message}")
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        "fixtures/dup_keyword.cfg",
+        "fixtures/dup_service.cfg",
+        "fixtures/dup_location.cfg",
+        "fixtures/dangling_partner.cfg",
+    ],
+)
+def test_every_manifest_error_names_the_manifest(manifest, capsys):
+    assert main(["check", manifest]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {manifest}: ")
+
+
+def test_missing_activity_file_names_the_activity(tmp_path, capsys):
+    manifest = tmp_path / "m.cfg"
+    manifest.write_text("(client :file client.seb)\n", encoding="utf-8")
+    assert main(["check", str(manifest)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'client.seb'}: No such file or directory\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "args, target",
+    [
+        (("check", "corpus/pingpong.cfg"), "seb.manifest.build_stages"),
+        (("simulate", "corpus/pingpong.cfg"), "seb.manifest.build_stages"),
+        (
+            ("validate", "corpus/pingpong_client.seb", "--report-vars"),
+            "seb.variables.build_prioritized_cg",
+        ),
+    ],
+    ids=["check", "simulate", "validate-report-vars"],
+)
+def test_state_cap_exits_three_in_every_command(args, target, monkeypatch, capsys):
+    def capped(*args, **kwargs):
+        raise StateCapExceeded(10)
+
+    monkeypatch.setattr(target, capped)
+    assert main(list(args)) == 3
+    assert capsys.readouterr().err == "error: state count exceeded the safety cap of 10\n"
 
 
 def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):

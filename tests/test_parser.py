@@ -1,6 +1,8 @@
 import pytest
 
-from seb.parser import SebSyntaxError, parse_activity
+from seb.configs import Data
+from seb.manifest import load_manifest
+from seb.parser import SebSyntaxError, Str, parse_activity, read_forms
 from seb.syntax import (
     And,
     Flo,
@@ -102,6 +104,31 @@ def test_errors_carry_position():
         parse_activity("(flo\n  (frob s op))")
     assert err.value.line == 2
     assert err.value.col == 4
+
+
+@pytest.mark.parametrize(
+    "source, col",
+    [('(inv s "op)', 8), ('(msg "marco)', 6)],
+    ids=["activity", "binding"],
+)
+def test_unterminated_string_is_an_error_at_its_quote(source, col):
+    with pytest.raises(SebSyntaxError) as err:
+        read_forms(source)
+    assert (err.value.message, err.value.line, err.value.col) == ("unterminated string", 1, col)
+
+
+def test_semicolon_inside_a_string_is_text():
+    [form] = read_forms('(msg "a;b") ; a comment')
+    assert form.items[1] == Str("a;b", 1, 6)
+
+
+def test_manifest_data_value_may_contain_a_semicolon(tmp_path, corpus_dir):
+    manifest = tmp_path / "m.cfg"
+    manifest.write_text(
+        f"(service ping :file {corpus_dir}/pingpong_service.seb :at pingloc)\n"
+        f'(client :file {corpus_dir}/pingpong_client.seb :bind (p pingloc) (msg "a;b"))\n'
+    )
+    assert dict(load_manifest(manifest).client.var_map)["msg"] == Data("a;b")
 
 
 def test_parse_print_roundtrip_on_generated_trees():
