@@ -82,12 +82,13 @@ from .diagnostics import (
     DANGLING_PARTNER,
     DUP_LOCATION,
     Diagnostic,
+    NONFREE_DEFINED,
     UNDEFINED_FREE,
     UNDEFINED_PAYLOAD,
     sort_diagnostics,
 )
 from .syntax import Activity, OWN_LOCATION, ROOT_SESSION
-from .variables import check_deployable
+from .variables import check_deployable, free_vars
 
 # --------------------------------------------------------------------------
 # Values
@@ -188,7 +189,7 @@ class Instance:
     """A running instance.
 
     ``edges`` is the current state's row of the graph's successor table;
-    ``_vars`` and ``_canon`` cache its part of ``canonical_key``.
+    ``_canon`` caches its part of ``canonical_key``.
     """
 
     origin: str  # service name, or "client"
@@ -196,12 +197,11 @@ class Instance:
     graph: ControlGraph = field(repr=False)
     state: int
     edges: StateEdges = field(init=False, repr=False, compare=False)
-    _vars: tuple | None = field(init=False, repr=False, compare=False)
     _canon: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.edges = self.graph.successor_table()[self.state]
-        self._vars = self._canon = None
+        self._canon = None
 
 
 Queues = tuple[tuple[Value, tuple[Message, ...]], ...]
@@ -315,13 +315,22 @@ def make_client(
     act: Activity,
     graph: ControlGraph,
     services: list[DeployableService],
+    free: frozenset[str] | None = None,
 ) -> Instance:
     """Validate and build the bootstrap client instance.
 
     The client's first steps must all be session initiations whose target
-    location variable is defined and names a deployed service.
+    location variable is defined and names a deployed service, and only
+    its free variables may hold a value.  ``free`` is ``free_vars(act)``,
+    computed here when not given.
     """
-    problems: list[Diagnostic] = []
+    if free is None:
+        free = free_vars(act)
+    problems = [
+        Diagnostic(NONFREE_DEFINED, f"variable '{var}' is not free and must stay undefined")
+        for var, value in var_map.items()
+        if value is not None and var not in free
+    ]
     first = graph.successor_table()[graph.init].all
     if not first:
         problems.append(Diagnostic(CLIENT_SHAPE, "the client activity does nothing"))
@@ -417,8 +426,6 @@ def _advance(
     """``config`` with instance ``idx`` moved to state ``to``, holding ``var_map``."""
     inst = config.instances[idx]
     moved = Instance(inst.origin, var_map, inst.graph, to)
-    if var_map is inst.var_map:
-        moved._vars = inst._vars
     instances = config.instances[:idx] + (moved,) + config.instances[idx + 1 :]
     return RunningConfiguration(config.services, instances, queues, fresh)
 
@@ -637,24 +644,17 @@ def _canon(inst: Instance, shapes: dict[tuple, int]) -> tuple:
 
     ``sessions`` numbers the session ids of the var map, in var map order.
     ``shapes`` interns the shape, in discovery order: the origin, graph,
-    state and var map with each session id blanked to its parity.  The
-    part without the state is interned first and cached in ``_vars``, so
-    an instance that moves and keeps its var map hashes no value again.
+    var map with each session id blanked to its parity, and state.
     """
-    cached = inst._vars
-    if cached is None or cached[0] is not shapes:
-        blanked = []
-        sessions = []
-        for var, value in inst.var_map:
-            if isinstance(value, SessionId):
-                sessions.append(value.number)
-                value = _ANY_SESSION[sessions[-1] & 1]
-            blanked.append((var, value))
-        unstated = (inst.origin, inst.graph, tuple(blanked))
-        cached = (shapes, shapes.setdefault(unstated, len(shapes)), tuple(sessions))
-        inst._vars = cached
-    _, unstated, sessions = cached
-    cached = (shapes, shapes.setdefault((unstated, inst.state), len(shapes)), sessions)
+    blanked = []
+    sessions = []
+    for var, value in inst.var_map:
+        if isinstance(value, SessionId):
+            sessions.append(value.number)
+            value = _ANY_SESSION[sessions[-1] & 1]
+        blanked.append((var, value))
+    shape = (inst.origin, inst.graph, tuple(blanked), inst.state)
+    cached = (shapes, shapes.setdefault(shape, len(shapes)), tuple(sessions))
     inst._canon = cached
     return cached
 

@@ -8,6 +8,7 @@ same input always yields bit-identical graphs.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -334,18 +335,10 @@ def renumber_bfs(g: ControlGraph) -> ControlGraph:
     states are dropped.  Every graph the pipeline returns is numbered
     here.
     """
-    from collections import deque
+    ties = g.states if g.payloads is None else [state_key(p) for p in g.payloads]
 
-    if g.payloads is not None:
-        payload_keys = [state_key(payload) for payload in g.payloads]
-
-        def edge_key(edge):
-            return (edge[0].sort_key(), payload_keys[edge[1]])
-
-    else:
-
-        def edge_key(edge):
-            return (edge[0].sort_key(), edge[1])
+    def edge_key(edge):
+        return (edge[0].sort_key(), ties[edge[1]])
 
     out = g.outgoing()
     order: dict[int, int] = {g.init: 0}
@@ -363,8 +356,7 @@ def renumber_bfs(g: ControlGraph) -> ControlGraph:
     )
     payloads = None
     if g.payloads is not None:
-        inverse = {new: old for old, new in order.items()}
-        payloads = tuple(g.payloads[inverse[i]] for i in range(len(order)))
+        payloads = tuple(g.payloads[old] for old in order)
     return ControlGraph(len(order), 0, transitions, payloads)
 
 

@@ -14,10 +14,6 @@ import re
 from .control import Action, ControlGraph, Recv, Send, SesInit, TAU, sorted_transitions
 
 
-def action_label(action: Action, tau: str = "i") -> str:
-    return action.render(tau=tau)
-
-
 _SESINIT = re.compile(r"([A-Za-z_$][A-Za-z0-9_$]*)@([A-Za-z_$][A-Za-z0-9_$]*)\Z")
 _COMM = re.compile(
     r"([A-Za-z_$][A-Za-z0-9_$]*)([!?])([A-Za-z_$][A-Za-z0-9_$]*)\((.*)\)\Z"
@@ -41,7 +37,7 @@ def parse_action_label(label: str) -> Action:
 def to_aut(g: ControlGraph) -> str:
     lines = [f"des ({g.init}, {len(g.transitions)}, {g.num_states})"]
     for frm, action, to in g.transitions:
-        lines.append(f'({frm}, "{action_label(action)}", {to})')
+        lines.append(f'({frm}, "{action.render(tau="i")}", {to})')
     return "\n".join(lines) + "\n"
 
 
@@ -100,6 +96,6 @@ def to_dot(g: ControlGraph, show_payloads: bool = False) -> str:
         attrs.append(f'label="{label}"')
         lines.append(f"  s{state} [{', '.join(attrs)}];")
     for frm, action, to in g.transitions:
-        lines.append(f'  s{frm} -> s{to} [label="{action_label(action, tau="τ")}"];')
+        lines.append(f'  s{frm} -> s{to} [label="{action.render()}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -188,11 +188,11 @@ def _load_forms(forms: list[Node], base: Path) -> LoadedManifest:
     keyed, binds = _keyword_split(client_form.items[1:], (":file",))
     if ":file" not in keyed:
         raise _err(client_form, "client entries need :file")
-    act, var_map, _, graph = _load_entry(
+    act, var_map, free, graph = _load_entry(
         base, client_form, "client", keyed[":file"], binds, {}
     )
     try:
-        client = make_client(var_map, act, graph, services)
+        client = make_client(var_map, act, graph, services, free)
     except ConfigurationError as exc:
         raise ManifestError(f"client is not valid: {exc}") from exc
     return LoadedManifest(tuple(services), client)

@@ -13,7 +13,8 @@ Grammar (``;`` outside a string starts a line comment)::
             | rep: "(" "do" act ")" "(" "until" act ")"
 
 Names starting with ``$`` are reserved for generated sequencing links and
-rejected in user source.  Parentheses nest at most ``MAX_NESTING`` deep.
+rejected in user source.  Each field is given at most once.  Parentheses
+nest at most ``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .syntax import (
     Rep,
     Seq,
     Ses,
-    TRUE,
 )
 
 
@@ -153,7 +153,10 @@ def _single_form(text: str, what: str) -> Node:
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-_KINDS = {"nil", "ses", "inv", "rec", "seq", "flo", "pic", "rep"}
+_KINDS = {
+    "nil": Nil, "ses": Ses, "inv": Inv, "rec": Rec,
+    "seq": Seq, "flo": Flo, "pic": Pic, "rep": Rep,
+}
 _FIELD_KEYS = (":tgt", ":src", ":jcd", ":lnk")
 
 
@@ -216,72 +219,50 @@ def _build_activity(node: Node) -> Activity:
             raise _err(rest[0], "(nil) takes no arguments")
         return Nil()
 
-    # Head
-    head: dict = {}
+    # Head: the constructor's leading positional arguments
+    args: list = []
     if kind == "ses":
         if len(rest) < 2:
             raise _err(node, "ses needs a session variable and a location variable")
-        head["s"] = _ident(rest.pop(0), "session variable")
-        head["p"] = _ident(rest.pop(0), "location variable")
+        args = [_ident(rest.pop(0), "session variable"), _ident(rest.pop(0), "location variable")]
     elif kind in ("inv", "rec"):
         if len(rest) < 2:
             raise _err(node, f"{kind} needs a session variable and an operation name")
-        head["s"] = _ident(rest.pop(0), "session variable")
-        head["op"] = _ident(rest.pop(0), "operation name")
+        args = [_ident(rest.pop(0), "session variable"), _ident(rest.pop(0), "operation name")]
         # The argument list is optional when empty; a following parenthesized
         # form can only be it, since fields are introduced by keyword atoms.
-        names: tuple[str, ...] = ()
         if rest and isinstance(rest[0], SList):
-            names = _ident_list(rest.pop(0), "variable")
-        head["args" if kind == "inv" else "params"] = names
+            args.append(_ident_list(rest.pop(0), "variable"))
 
-    # Fields
+    # Fields, stored under their dataclass field names
     fields: dict = {}
     while rest and isinstance(rest[0], Atom) and rest[0].text.startswith(":"):
         key_node = rest.pop(0)
         key = key_node.text
         if key not in _FIELD_KEYS:
             raise _err(key_node, f"unknown field '{key}'")
-        if key in fields:
+        name = key[1:]
+        if name in fields:
             raise _err(key_node, f"duplicate field '{key}'")
         if not rest:
             raise _err(key_node, f"field '{key}' needs a value")
         value = rest.pop(0)
-        if key == ":jcd":
-            fields["jcd"] = _parse_jexpr(value)
+        if name == "jcd":
+            fields[name] = _parse_jexpr(value)
         else:
-            name = key[1:]
             if name == "lnk" and kind != "flo":
                 raise _err(key_node, ":lnk is only legal on flo")
             fields[name] = frozenset(_ident_list(value, "link name"))
 
-    common = {
-        "tgt": fields.get("tgt", frozenset()),
-        "src": fields.get("src", frozenset()),
-        "jcd": fields.get("jcd", TRUE),
-    }
-
-    # Body
-    if kind == "ses":
+    # Body: the remaining positional arguments
+    if kind in ("ses", "inv", "rec"):
         if rest:
-            raise _err(rest[0], "ses takes no body")
-        return Ses(head["s"], head["p"], **common)
-    if kind == "inv":
-        if rest:
-            raise _err(rest[0], "inv takes no body")
-        return Inv(head["s"], head["op"], head["args"], **common)
-    if kind == "rec":
-        if rest:
-            raise _err(rest[0], "rec takes no body")
-        return Rec(head["s"], head["op"], head["params"], **common)
-    if kind in ("seq", "flo"):
+            raise _err(rest[0], f"{kind} takes no body")
+    elif kind in ("seq", "flo"):
         if not rest:
             raise _err(node, f"{kind} needs at least one child activity")
-        children = tuple(_build_activity(item) for item in rest)
-        if kind == "seq":
-            return Seq(children, **common)
-        return Flo(children, lnk=fields.get("lnk", frozenset()), **common)
-    if kind == "pic":
+        args = [tuple(_build_activity(item) for item in rest)]
+    elif kind == "pic":
         if not rest:
             raise _err(node, "pic needs at least one (on ...) branch")
         branches = []
@@ -297,11 +278,10 @@ def _build_activity(node: Node) -> Activity:
             if not isinstance(guard, Rec):
                 raise _err(item.items[1], "a pic branch head must be a reception")
             branches.append((guard, _build_activity(item.items[2])))
-        return Pic(tuple(branches), **common)
-    if kind == "rep":
+        args = [tuple(branches)]
+    else:
         if len(rest) != 2:
             raise _err(node, "rep has the form (rep (do <pic>) (until <pic>))")
-        parts = {}
         for item, label in zip(rest, ("do", "until")):
             if (
                 not isinstance(item, SList)
@@ -313,9 +293,8 @@ def _build_activity(node: Node) -> Activity:
             sub = _build_activity(item.items[1])
             if not isinstance(sub, Pic):
                 raise _err(item.items[1], f"the {label} part of rep must be a pic")
-            parts[label] = sub
-        return Rep(parts["do"], parts["until"], **common)
-    raise _err(node, f"unknown activity keyword '{kind}'")
+            args.append(sub)
+    return _KINDS[kind](*args, **fields)
 
 
 def parse_activity(text: str) -> Activity:

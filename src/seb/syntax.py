@@ -46,7 +46,6 @@ class Not:
 JoinExpr = Lit | LinkRef | And | Or | Not
 
 TRUE = Lit(True)
-FALSE = Lit(False)
 
 NO_LINKS: frozenset[str] = frozenset()
 
@@ -351,12 +350,9 @@ def _print(act: Activity, child) -> str:
         case Rec(s, op, params):
             params_s = f" ({' '.join(params)})" if params else ""
             return f"(rec {s} {op}{params_s}{_common_fields(act)})"
-        case Seq(children):
+        case Seq(children) | Flo(children):
             body = " ".join(child(c) for c in children)
-            return f"(seq{_common_fields(act)} {body})"
-        case Flo(children):
-            body = " ".join(child(c) for c in children)
-            return f"(flo{_common_fields(act)} {body})"
+            return f"({kind_name(act)}{_common_fields(act)} {body})"
         case Pic(branches):
             body = " ".join(f"(on {child(h)} {child(c)})" for h, c in branches)
             return f"(pic{_common_fields(act)} {body})"

@@ -149,8 +149,8 @@ def check_deployable(
     The activity must be a pick whose every branch starts by receiving on
     the root session; the root session must be its only free session
     variable; the map must cover exactly the occurring variables plus the
-    own location, define every free variable (the root session aside, it
-    is bound at instantiation) and leave every non-free one undefined.
+    own location, define every free variable and leave every non-free one
+    undefined, as well as the root session, which is bound at instantiation.
     The own location is implicitly free: it is the address the service is
     reachable at, whether or not the behavior mentions it.  ``free`` is
     ``free_vars(pic)``, computed here when not given.
@@ -217,8 +217,16 @@ def check_deployable(
     effective_free = (free | {OWN_LOCATION}) & set(var_map)
     for var in sorted(set(var_map)):
         value = var_map[var]
-        if var in effective_free:
-            if var != ROOT_SESSION_VAR and value is None:
+        if var == ROOT_SESSION_VAR:
+            if value is not None:
+                out.append(
+                    Diagnostic(
+                        ROOT_SESSION,
+                        f"'{var}' is bound when an instance starts and must stay undefined",
+                    )
+                )
+        elif var in effective_free:
+            if value is None:
                 out.append(
                     Diagnostic(
                         UNDEFINED_FREE,

@@ -261,8 +261,6 @@ def desugar_seq(act: Activity) -> Activity:
                 children = tuple(c for c in children if not isinstance(c, Nil))
                 if not children:
                     return Flo((Nil(),), tgt, src, jcd, frozenset())
-                if len(children) == 1:
-                    return Flo((walk(children[0]),), tgt, src, jcd, frozenset())
                 links = [fresh() for _ in range(len(children) - 1)]
                 chained: list[Activity] = []
                 for i, child in enumerate(children):

@@ -261,6 +261,31 @@ def test_badly_partnered_manifest_is_an_input_error(command, manifest, code, cap
     assert line.startswith(f"error: {manifest}: {code} at /: ")
 
 
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        (
+            "fixtures/bind_root_session.cfg",
+            "service 'ping' is not deployable: ROOT_SESSION at /: "
+            "'s0' is bound when an instance starts and must stay undefined",
+        ),
+        (
+            "fixtures/client_binds_nonfree.cfg",
+            "client is not valid: NONFREE_DEFINED at /: "
+            "variable 'y' is not free and must stay undefined",
+        ),
+    ],
+)
+def test_binding_a_value_that_is_never_read_is_an_input_error(
+    command, manifest, message, capsys
+):
+    assert main([command, manifest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {manifest}: {message}"]
+
+
 PING = "(service ping :file pingpong_service.seb :at pingloc"
 CLIENT = '(client :file pingpong_client.seb :bind (p pingloc) (msg "marco"))'
 

@@ -135,3 +135,52 @@ def test_parse_print_roundtrip_on_generated_trees():
     for seed in range(150):
         act = random_activity(seed, depth=3)
         assert parse_activity(to_source(act)) == act
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("(nil x)", "1:6: (nil) takes no arguments"),
+        ("(ses s)", "1:1: ses needs a session variable and a location variable"),
+        ("(inv s)", "1:1: inv needs a session variable and an operation name"),
+        ("(rec s)", "1:1: rec needs a session variable and an operation name"),
+        ("(ses (a) p)", "1:6: expected session variable"),
+        ("(ses s 1p)", "1:8: '1p' is not a valid location variable"),
+        ("(inv $x op)", "1:6: '$x': the '$' prefix is reserved for generated links"),
+        ("(inv s op (x 1))", "1:14: '1' is not a valid variable"),
+        ("(ses s p (nil))", "1:10: ses takes no body"),
+        ("(inv s op (x) (nil))", "1:15: inv takes no body"),
+        ("(rec s op (x) (nil))", "1:15: rec takes no body"),
+        ("(inv s op :src)", "1:11: field ':src' needs a value"),
+        ("(inv s op :bogus (a))", "1:11: unknown field ':bogus'"),
+        ("(inv s op :src (a) :src (b))", "1:20: duplicate field ':src'"),
+        ("(seq :jcd a :jcd b (nil))", "1:13: duplicate field ':jcd'"),
+        ("(inv s op :lnk (l))", "1:11: :lnk is only legal on flo"),
+        ("(inv s op :src a)", "1:16: expected a parenthesized list of link names"),
+        ("(inv s op :jcd ())", "1:16: expected 'and', 'or' or 'not'"),
+        ("(inv s op :jcd (and a))", "1:16: 'and' takes exactly two operands"),
+        ("(inv s op :jcd (not a b))", "1:16: 'not' takes exactly one operand"),
+        ("(inv s op :jcd (xor a b))", "1:17: unknown join operator 'xor'"),
+        ('(inv s op :jcd "a")', "1:16: expected a join condition"),
+        ("(seq)", "1:1: seq needs at least one child activity"),
+        ("(flo :lnk (l))", "1:1: flo needs at least one child activity"),
+        ("(pic)", "1:1: pic needs at least one (on ...) branch"),
+        ("(pic (x))", "1:6: pic branches have the form (on <rec> <activity>)"),
+        ("(pic (on (inv s op) (nil)))", "1:10: a pic branch head must be a reception"),
+        ("(rep (do (nil)))", "1:1: rep has the form (rep (do <pic>) (until <pic>))"),
+        ("(rep (until (nil)) (do (nil)))", "1:6: expected (do <pic>)"),
+        ("(rep (do (nil)) (until (nil)))", "1:10: the do part of rep must be a pic"),
+        (
+            "(rep (do (pic (on (rec s a) (nil)))) (until (nil)))",
+            "1:45: the until part of rep must be a pic",
+        ),
+        ("(frob s op)", "1:2: unknown activity keyword 'frob'"),
+        ("x", "1:1: expected an activity"),
+        ("()", "1:1: expected an activity keyword"),
+        ("((nil))", "1:1: expected an activity keyword"),
+    ],
+)
+def test_reader_error_message_and_position(source, message):
+    with pytest.raises(SebSyntaxError) as err:
+        parse_activity(source)
+    assert str(err.value) == message

@@ -173,6 +173,15 @@ def test_nonfree_must_stay_undefined():
     assert codes == [NONFREE_DEFINED]
 
 
+@pytest.mark.parametrize("value", [Data("x"), ServiceLoc("nowhere")], ids=["data", "location"])
+def test_root_session_must_stay_undefined(value):
+    act = parse_activity("(pic (on (rec s0 op (x)) (nil)))")
+    var_map = {"s0": value, "x": None, "p0": ServiceLoc("loc")}
+    assert [str(d) for d in check_deployable(var_map, act)] == [
+        "ROOT_SESSION at /: 's0' is bound when an instance starts and must stay undefined"
+    ]
+
+
 def test_domain_must_match_occurring_variables():
     act = parse_activity("(pic (on (rec s0 op (x)) (nil)))")
     var_map = {"s0": None, "p0": ServiceLoc("loc"), "ghost": None, "x": None}
