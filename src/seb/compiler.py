@@ -14,7 +14,10 @@ from the initial configuration.  The step relation:
   links;
 * a pick propagates a step of one branch head, cancelling the outgoing
   links of every other branch, and continues with that branch wrapped in
-  a flow carrying the pick's control fields;
+  a flow carrying the pick's control fields.  The links of the other
+  branches are the pick's strict sources less the branch's own: a
+  well-formed activity declares each link as a source once, and the
+  links ``$seq`` desugaring adds are fresh;
 * a repeat steps either through its do part (entering an unfolding that
   remembers the iteration body) or through its until part (leaving the
   loop); a finished unfolding silently resets the do part's internal
@@ -26,7 +29,6 @@ been desugared beforehand.
 
 from __future__ import annotations
 
-import logging
 from collections import deque
 
 from .control import (
@@ -60,8 +62,6 @@ from .syntax import (
     subacts,
 )
 from .wellformed import desugar_seq
-
-logger = logging.getLogger(__name__)
 
 Step = tuple[Action, LinkMap, Activity]
 State = tuple[LinkMap, Activity]
@@ -147,17 +147,13 @@ def _steps(c: LinkMap, act: Activity, cache: _Memo) -> tuple[Step, ...]:
                         succ = cache.intern(Flo(body, tgt, src, jcd, lnk))
                         steps.append((action, c2, succ))
         case Pic(branches, tgt, src, jcd):
-            for i, (head, cont) in enumerate(branches):
+            sources = all_sources(act, strict=True)
+            for head, cont in branches:
+                cancelled = sources - all_sources(head) - all_sources(cont)
                 for action, c2, residual in _steps(c, head, cache):
                     assert isinstance(residual, Nil)
-                    cancelled: set[str] = set()
-                    for j, (other_head, other_cont) in enumerate(branches):
-                        if j != i:
-                            cancelled |= all_sources(other_head)
-                            cancelled |= all_sources(other_cont)
-                    c3 = c2.set_links(False, cancelled)
                     succ = cache.intern(Flo((cont,), tgt, src, jcd))
-                    steps.append((action, c3, succ))
+                    steps.append((action, c2.set_links(False, cancelled), succ))
         case Rep(do_pic, until_pic, tgt, src, jcd):
             for action, c2, residual in _steps(c, do_pic, cache):
                 succ = cache.intern(Unf(residual, do_pic, until_pic, tgt, src, jcd))
@@ -167,11 +163,6 @@ def _steps(c: LinkMap, act: Activity, cache: _Memo) -> tuple[Step, ...]:
                 steps.append((action, c2, succ))
         case Unf(body, do_pic, until_pic, tgt, src, jcd):
             if isinstance(body, Nil):
-                if do_pic.src:
-                    logger.warning(
-                        "unfold completion ticks non-empty do-part sources %s",
-                        sorted(do_pic.src),
-                    )
                 c2 = c.set_links(None, all_sources(do_pic, strict=True))
                 c2 = c2.set_links(None, all_targets(do_pic, strict=True))
                 c2 = c2.set_links(True, do_pic.src)

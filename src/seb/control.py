@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .syntax import (
@@ -30,69 +30,66 @@ from .syntax import (
 
 LinkValue = bool | None
 
-_VALUE_RANK = {None: 0, False: 1, True: 2}
+_VALUES = (None, False, True)
 
 
 @dataclass(frozen=True)
 class LinkMap:
-    """Immutable map from link names to link values, sorted by name."""
+    """Immutable map from link names to link values.
 
-    entries: tuple[tuple[str, LinkValue], ...]
+    ``names`` is sorted; ``codes`` holds one code per name, 0 for
+    undefined, 1 for false and 2 for true, so it is also the sort key.
+    ``index`` maps each name to its position.  A map made by
+    ``set_links`` shares ``names`` and ``index`` with its source, so one
+    compilation builds them once.
+    """
+
+    names: tuple[str, ...]
+    codes: tuple[int, ...]
+    index: dict[str, int] = field(compare=False, repr=False)
 
     @classmethod
     def fresh(cls, links) -> "LinkMap":
-        return cls(tuple((name, None) for name in sorted(links)))
+        return cls.of(dict.fromkeys(links))
 
     @classmethod
     def of(cls, mapping: dict[str, LinkValue]) -> "LinkMap":
-        return cls(tuple(sorted(mapping.items())))
+        names = tuple(sorted(mapping))
+        codes = tuple(_VALUES.index(mapping[name]) for name in names)
+        return cls(names, codes, {name: i for i, name in enumerate(names)})
 
     def domain(self) -> frozenset[str]:
-        return frozenset(name for name, _ in self.entries)
-
-    def _dict(self) -> dict[str, LinkValue]:
-        d = self.__dict__.get("_d")
-        if d is None:
-            d = dict(self.entries)
-            object.__setattr__(self, "_d", d)
-        return d
+        return frozenset(self.names)
 
     def __hash__(self) -> int:
         h = self.__dict__.get("_h")
         if h is None:
-            h = hash(self.entries)
+            h = hash(self.codes)
             object.__setattr__(self, "_h", h)
         return h
 
     def as_dict(self) -> dict[str, LinkValue]:
-        return dict(self.entries)
+        return {name: _VALUES[code] for name, code in zip(self.names, self.codes)}
 
     def set_links(self, value: LinkValue, links) -> "LinkMap":
-        wanted = set(links)
-        if not wanted:
+        if not links:
             return self
-        d = self._dict()
-        outside = [name for name in wanted if name not in d]
+        outside = [name for name in links if name not in self.index]
         if outside:
             raise ValueError(
                 "links outside the map domain: " + ", ".join(sorted(outside))
             )
-        return LinkMap(
-            tuple(
-                (name, value if name in wanted else old)
-                for name, old in self.entries
-            )
-        )
+        codes = list(self.codes)
+        code = _VALUES.index(value)
+        for name in links:
+            codes[self.index[name]] = code
+        return LinkMap(self.names, tuple(codes), self.index)
 
     def true_links(self) -> frozenset[str]:
-        return frozenset(n for n, v in self.entries if v is True)
+        return frozenset(n for n, code in zip(self.names, self.codes) if code == 2)
 
     def sort_key(self) -> tuple:
-        key = self.__dict__.get("_sk")
-        if key is None:
-            key = tuple(_VALUE_RANK[value] for _, value in self.entries)
-            object.__setattr__(self, "_sk", key)
-        return key
+        return self.codes
 
 
 def initial_link_map(act: Activity) -> LinkMap:
@@ -121,9 +118,9 @@ def eval_join(c: LinkMap, expr: JoinExpr, targets) -> LinkValue:
             "join condition references links outside the tgt set: "
             + ", ".join(sorted(stray))
         )
-    values = c._dict()
+    codes, index = c.codes, c.index
     for link in targets:
-        if values[link] is None:
+        if codes[index[link]] == 0:
             return None
 
     def ev(e: JoinExpr) -> bool:
@@ -131,7 +128,7 @@ def eval_join(c: LinkMap, expr: JoinExpr, targets) -> LinkValue:
             case Lit(value):
                 return value
             case LinkRef(name):
-                return bool(values[name])
+                return codes[index[name]] == 2
             case And(left, right):
                 return ev(left) and ev(right)
             case Or(left, right):

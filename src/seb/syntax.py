@@ -323,22 +323,6 @@ def to_source(act: Activity) -> str:
 
     Internal unfold nodes have no concrete syntax and are rejected.
     """
-    if isinstance(act, Unf):
-        raise ValueError("internal unfold activity has no concrete syntax")
-    return _print(act, to_source)
-
-
-def render(act: Activity) -> str:
-    """Canonical rendering, cached per node; total (covers unfoldings too)."""
-    key = act.__dict__.get("_render")
-    if key is None:
-        key = _print(act, render)
-        object.__setattr__(act, "_render", key)
-    return key
-
-
-def _print(act: Activity, child) -> str:
-    """The printer behind both; ``child`` prints the subactivities."""
     match act:
         case Nil():
             return "(nil)"
@@ -351,21 +335,18 @@ def _print(act: Activity, child) -> str:
             params_s = f" ({' '.join(params)})" if params else ""
             return f"(rec {s} {op}{params_s}{_common_fields(act)})"
         case Seq(children) | Flo(children):
-            body = " ".join(child(c) for c in children)
+            body = " ".join(to_source(c) for c in children)
             return f"({kind_name(act)}{_common_fields(act)} {body})"
         case Pic(branches):
-            body = " ".join(f"(on {child(h)} {child(c)})" for h, c in branches)
+            body = " ".join(f"(on {to_source(h)} {to_source(c)})" for h, c in branches)
             return f"(pic{_common_fields(act)} {body})"
         case Rep(do_pic, until_pic):
             return (
-                f"(rep{_common_fields(act)} (do {child(do_pic)})"
-                f" (until {child(until_pic)}))"
+                f"(rep{_common_fields(act)} (do {to_source(do_pic)})"
+                f" (until {to_source(until_pic)}))"
             )
-        case Unf(body, do_pic, until_pic):
-            return (
-                f"(unf{_common_fields(act)} (do {child(body)})"
-                f" (then {child(do_pic)}) (until {child(until_pic)}))"
-            )
+        case Unf():
+            raise ValueError("internal unfold activity has no concrete syntax")
     raise TypeError(f"not an activity: {act!r}")
 
 

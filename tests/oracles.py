@@ -32,7 +32,6 @@ from seb.syntax import (
     Ses,
     TRUE,
     Unf,
-    render,
 )
 
 # --------------------------------------------------------------------------
@@ -221,7 +220,7 @@ def oracle_steps(c: dict, act: Activity) -> list[tuple[str, dict, Activity]]:
     # distinct derivations may coincide (e.g. removing either of two nils)
     seen = {}
     for label, c2, res in out:
-        seen[(label, tuple(sorted(c2.items(), key=lambda kv: (kv[0], str(kv[1])))), render(res))] = (
+        seen[(label, tuple(sorted(c2.items(), key=lambda kv: (kv[0], str(kv[1])))), res)] = (
             label,
             c2,
             res,
@@ -239,7 +238,10 @@ def _occurring_links(act):
 
 
 def oracle_graph(act: Activity):
-    """Brute-force closure; states keyed by (map items, rendered residual).
+    """Brute-force closure; states keyed by (map items, residual activity).
+
+    A residual hashes and compares by structure, so it identifies a state
+    exactly as its printed form would.
 
     Returns (state count, transition count, labeled transition list with
     dense ids in discovery order).
@@ -247,7 +249,7 @@ def oracle_graph(act: Activity):
     c0 = {link: None for link in _occurring_links(act)}
 
     def key(c, a):
-        return (tuple(sorted(c.items(), key=lambda kv: (kv[0], str(kv[1])))), render(a))
+        return (tuple(sorted(c.items(), key=lambda kv: (kv[0], str(kv[1])))), a)
 
     start = (c0, act)
     ids = {key(*start): 0}
@@ -617,6 +619,26 @@ def linked_flo(n: int, ring: bool = False) -> Flo:
         tgt = frozenset([links[i - 1]]) if i > 0 or ring else frozenset()
         children.append(Inv("s", "a", (), tgt, src))
     return Flo(tuple(children), lnk=frozenset(links))
+
+
+def pick_of_recs(n: int, linked: bool = False) -> Activity:
+    """A pick of ``n`` branches ``(on (rec s a<i>) (inv s b<i>))``.
+
+    With ``linked`` each head is the source of a link ``l<i>``, and the
+    pick sits in a flo next to an ``(inv s after)`` that waits on every
+    link and joins on ``l0``: it fires when branch 0 is taken and is
+    skipped by dead-path elimination otherwise.  Only the cancellation of
+    the untaken branches defines all of its links.
+    """
+    links = [f"l{i}" for i in range(n)] if linked else []
+    pic = Pic(tuple(
+        (Rec("s", f"a{i}", src=frozenset(links[i : i + 1])), Inv("s", f"b{i}"))
+        for i in range(n)
+    ))
+    if not linked:
+        return pic
+    after = Inv("s", "after", tgt=frozenset(links), jcd=LinkRef("l0"))
+    return Flo((pic, after), lnk=frozenset(links))
 
 
 def silent_path(n: int) -> ControlGraph:

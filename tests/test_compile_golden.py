@@ -87,6 +87,7 @@ GOLDEN = {
     "fixtures/containment_cross.seb": ("1e4a84cef8deacc8ce18ce962e18921a191d5f495f1c7d7b666e305a61020549", (1, 1, 1, 1, 1, 1)),
     "fixtures/cycle.seb": ("9cd4a02b5bb9f46ea9bcd13b3eb19466039c366b39bd051fd9a571648e765d18", (1, 1, 1, 1, 1, 1)),
     "fixtures/dup_link.seb": ("11087bba6f9c33e7bb237a499cd299eeacc91e397a4680c6d51304c1e1709c48", (1, 1, 1, 1, 1, 1)),
+    "fixtures/linked_pick.seb": ("fc4b190e2c0e035f1bf4b3fa143e4dbd139534a8a0a2829a41d1d392dbdc05fa", (0, 0, 0, 0, 0, 0)),
     "fixtures/mismatch_client.seb": ("0144d442d92a8b280c49f33cb578948014ad8eb3899962faaad92f815a09dca3", (0, 0, 0, 0, 0, 0)),
     "fixtures/rep_escape.seb": ("6eb26a42a99ad8f245b80d0c9b63a8d45bee165897a8a27b346eda598dc351b8", (1, 1, 1, 1, 1, 1)),
     "fixtures/rep_incoming.seb": ("36b120d2f87c1ec75183537dbcb61690a300405b8d5479ea7e0080a2dec6dd6c", (1, 1, 1, 1, 1, 1)),

@@ -13,7 +13,7 @@ from seb.parser import parse_activity
 from seb.syntax import Flo, Inv, LinkRef, Nil, Pic, Rec, Rep, Unf
 from seb.wellformed import desugar_seq
 
-from oracles import oracle_graph, random_activity
+from oracles import oracle_graph, pick_of_recs, random_activity
 
 # --------------------------------------------------------------------------
 # Step derivation
@@ -200,6 +200,16 @@ def test_raw_graph_matches_reference_on_random_activities():
         g = build_raw_cg(act, max_states=20000)
         n, t, _ = oracle_graph(desugar_seq(act))
         assert (g.num_states, len(g.transitions)) == (n, t), seed
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 300])
+def test_linked_pick_matches_reference_interpreter(n):
+    act = pick_of_recs(n, linked=True)
+    g = build_raw_cg(act)
+    states, count, transitions = oracle_graph(act)
+    assert (g.num_states, len(g.transitions)) == (states, count)
+    labels = sorted(action.render(tau="tau") for _, action, _ in g.transitions)
+    assert labels == sorted(label for _, label, _ in transitions)
 
 
 def test_compiling_twice_is_bit_identical():

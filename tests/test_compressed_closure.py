@@ -26,7 +26,7 @@ from seb.transforms import minimize, run_to_completion, tau_compress
 from seb.wellformed import validate_well_formed
 
 from conftest import ROOT
-from oracles import linked_flo, random_activity, seq_of_invs
+from oracles import linked_flo, pick_of_recs, random_activity, seq_of_invs
 
 # The oracle builds every silent interleaving; generated activities whose
 # prioritized graph is larger than this are skipped to keep it fast.
@@ -93,6 +93,11 @@ def test_generated_activities(depth, seeds, least):
 )
 def test_wide_activities(build):
     assert_same_stages(build())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 300])
+def test_linked_picks(n):
+    assert_same_stages(pick_of_recs(n, linked=True))
 
 
 def test_silent_loop_stops_at_the_cap(monkeypatch):

@@ -124,6 +124,32 @@ def test_eval_join_stable_under_changes_outside_targets(data):
     assert eval_join(LinkMap.of(changed), expr, targets) == verdict
 
 
+@given(link_maps())
+def test_sort_key_ranks_values_in_name_order(c):
+    rank = {None: 0, False: 1, True: 2}
+    assert c.sort_key() == tuple(rank[c.as_dict()[n]] for n in sorted(c.domain()))
+
+
+@given(st.data())
+def test_set_links_shares_names_and_index(data):
+    c = data.draw(link_maps())
+    names = data.draw(st.sets(st.sampled_from(sorted(c.domain())), min_size=1))
+    c2 = c.set_links(data.draw(values), names)
+    assert c2.names is c.names
+    assert c2.index is c.index
+
+
+@given(st.data())
+def test_set_links_agrees_with_the_updated_dict(data):
+    c = data.draw(link_maps())
+    names = data.draw(st.sets(st.sampled_from(sorted(c.domain())), max_size=4))
+    value = data.draw(values)
+    expected = LinkMap.of({**c.as_dict(), **dict.fromkeys(names, value)})
+    got = LinkMap.of(c.as_dict()).set_links(value, names)
+    assert got == expected
+    assert hash(got) == hash(expected)
+
+
 # --------------------------------------------------------------------------
 # Initial map
 

@@ -199,8 +199,9 @@ ROUTES = {
 
 @pytest.mark.parametrize("from_raw", [False, True])
 @pytest.mark.parametrize("upto", STAGES)
-def test_build_stages_returns_the_stages_of_its_route(upto, from_raw, quotecomparer):
-    stages = build_stages(quotecomparer, upto, from_raw=from_raw)
+def test_build_stages_returns_the_stages_of_its_route(upto, from_raw, corpus_dir):
+    act = parse_activity_file(corpus_dir / "pingpong_service.seb")
+    stages = build_stages(act, upto, from_raw=from_raw)
     assert list(stages) == ROUTES[upto, from_raw]
 
 

@@ -119,6 +119,7 @@ GOLDEN_FILES = {
     "fixtures/containment_cross.seb": ("26bb656c42d1766505a2b52e454ab9271d5a60402f3b040e4dd2d6ad0b7dabb0", "1"),
     "fixtures/cycle.seb": ("634189a869ea677fccffe255e03273b73e88f6702e88c9e962a2b2521ca3939f", "1"),
     "fixtures/dup_link.seb": ("5c4383f2340efcdf6cbf1c90108cddd31d78885707931003d64ba4be5ef7733c", "1"),
+    "fixtures/linked_pick.seb": ("420ab6ab404bc5892ac3278c4c9db749cbc276376bdc8b68d41c8e60144dfb4b", "0"),
     "fixtures/mismatch_client.seb": ("2808ce07fb023241529ef798e720a69846107e0239554e3c44c4aded8bde70d9", "0"),
     "fixtures/rep_escape.seb": ("8fbff75f806b197b9a63a3b25e7ee046dc38283766e64619db671f9dbc984dce", "1"),
     "fixtures/rep_incoming.seb": ("15a52426fee477534bd9b34933c9e3cb63af70174078f0a825b7db4b6274717e", "1"),

@@ -2,6 +2,8 @@
 
 Validation and the silent-cycle search used to recurse once per step of
 the paths they followed, so these inputs ended in a ``RecursionError``.
+A pick's steps unioned the sources of every other branch, once per step,
+so its compilation grew quadratically with its width.
 """
 
 import time
@@ -15,7 +17,7 @@ from seb.syntax import to_source
 from seb.transforms import tau_compress
 from seb.wellformed import validate_well_formed
 
-from oracles import linked_flo, seq_of_invs, silent_path, silent_ring
+from oracles import linked_flo, pick_of_recs, seq_of_invs, silent_path, silent_ring
 
 
 @pytest.mark.parametrize(
@@ -32,6 +34,17 @@ def test_validate_wide_activity(build, tmp_path, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (0, f"{path}: ok\n", "")
     assert elapsed < 1.0
+
+
+def test_pick_of_3000_branches_compiles(tmp_path, capsys):
+    path = tmp_path / "pick.seb"
+    path.write_text(to_source(pick_of_recs(3000)) + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    code = main(["compile", str(path), "--stage", "min"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (code, captured.out.splitlines()[0], captured.err) == (0, "des (0, 6000, 3002)", "")
+    assert elapsed < 3.0
 
 
 def test_cycle_through_2000_activities_is_one_diagnostic():
