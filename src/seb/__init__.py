@@ -6,7 +6,6 @@ from .parser import parse_activity, parse_activity_file
 from .syntax import pred_pairs, subacts, to_source
 from .transforms import (
     build_stages,
-    compile_stages,
     minimize,
     run_to_completion,
     tau_compress,
@@ -24,7 +23,6 @@ __all__ = [
     "build_stages",
     "check_deployable",
     "classify_occurrences",
-    "compile_stages",
     "desugar_seq",
     "enabled_steps",
     "eval_join",

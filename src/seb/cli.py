@@ -22,7 +22,7 @@ from .export import to_aut, to_dot
 from .manifest import load_manifest
 from .parser import InputError, parse_activity_file
 from .transforms import STAGES, build_stages, check_stage_invariants
-from .variables import classify_occurrences
+from .variables import classify_occurrences, free_vars
 from .wellformed import validate_well_formed
 
 EXIT_OK = 0
@@ -65,7 +65,7 @@ def cmd_validate(args) -> int:
                 print(f"  all:     {', '.join(sorted(report.all_vars)) or '-'}")
                 print(f"  binding: {', '.join(sorted(report.binding)) or '-'}")
                 print(f"  usage:   {', '.join(sorted(report.usage)) or '-'}")
-                print(f"  free:    {', '.join(sorted(report.free)) or '-'}")
+                print(f"  free:    {', '.join(sorted(free_vars(act))) or '-'}")
                 for d in report.forbidden:
                     print(f"  forbidden: {d}")
     return status
@@ -98,7 +98,7 @@ def cmd_compile(args) -> int:
     if not args.keep_payloads:
         graph = graph.without_payloads()
 
-    text = to_dot(graph, show_payloads=args.keep_payloads) if args.format == "dot" else to_aut(graph)
+    text = to_dot(graph) if args.format == "dot" else to_aut(graph)
     if args.output:
         try:
             Path(args.output).write_text(text, encoding="utf-8")

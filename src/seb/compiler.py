@@ -35,10 +35,8 @@ from .control import (
     Action,
     ControlGraph,
     LinkMap,
-    Recv,
-    Send,
-    SesInit,
     TAU,
+    action_of,
     eval_join,
     find_cycle,
     initial_link_map,
@@ -126,12 +124,8 @@ def _steps(c: LinkMap, act: Activity, cache: _Memo) -> tuple[Step, ...]:
 
     steps: list[Step] = []
     match act:
-        case Ses(s, p, _, src, _):
-            steps.append((SesInit(s, p), c.set_links(True, src), NIL))
-        case Inv(s, op, args, _, src, _):
-            steps.append((Send(s, op, args), c.set_links(True, src), NIL))
-        case Rec(s, op, params, _, src, _):
-            steps.append((Recv(s, op, params), c.set_links(True, src), NIL))
+        case Ses() | Inv() | Rec():
+            steps.append((action_of(act), c.set_links(True, act.src), NIL))
         case Flo(children, tgt, src, jcd, lnk):
             if len(children) == 1 and isinstance(children[0], Nil):
                 steps.append((TAU, c.set_links(True, src), NIL))

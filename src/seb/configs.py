@@ -88,7 +88,7 @@ from .diagnostics import (
     sort_diagnostics,
 )
 from .syntax import Activity, OWN_LOCATION, ROOT_SESSION
-from .variables import check_deployable, free_vars
+from .variables import check_deployable
 
 # --------------------------------------------------------------------------
 # Values
@@ -293,7 +293,7 @@ def make_service(
     var_map: dict[str, Value | None],
     pic: Activity,
     graph: ControlGraph,
-    free: frozenset[str] | None = None,
+    free: frozenset[str],
 ) -> DeployableService:
     """Validate and build a deployable service; ``free`` as in ``check_deployable``."""
     problems = check_deployable(var_map, pic, free)
@@ -312,20 +312,17 @@ def make_service(
 
 def make_client(
     var_map: dict[str, Value | None],
-    act: Activity,
     graph: ControlGraph,
     services: list[DeployableService],
-    free: frozenset[str] | None = None,
+    free: frozenset[str],
 ) -> Instance:
     """Validate and build the bootstrap client instance.
 
     The client's first steps must all be session initiations whose target
     location variable is defined and names a deployed service, and only
-    its free variables may hold a value.  ``free`` is ``free_vars(act)``,
-    computed here when not given.
+    its free variables may hold a value.  ``free`` holds the free
+    variables of the client activity.
     """
-    if free is None:
-        free = free_vars(act)
     problems = [
         Diagnostic(NONFREE_DEFINED, f"variable '{var}' is not free and must stay undefined")
         for var, value in var_map.items()

@@ -74,8 +74,8 @@ def from_aut(text: str) -> ControlGraph:
     return ControlGraph(n_states, init, sorted_transitions(transitions))
 
 
-def to_dot(g: ControlGraph, show_payloads: bool = False) -> str:
-    """DOT rendering with doubly-circled terminal states."""
+def to_dot(g: ControlGraph) -> str:
+    """DOT rendering with doubly-circled terminal states; payloads add true links."""
     sinks = set(g.sinks())
     lines = [
         "digraph control_graph {",
@@ -89,7 +89,7 @@ def to_dot(g: ControlGraph, show_payloads: bool = False) -> str:
         if state in sinks:
             attrs.append("shape=doublecircle")
         label = str(state)
-        if show_payloads and g.payloads is not None:
+        if g.payloads is not None:
             links = sorted(g.payloads[state][0].true_links())
             if links:
                 label += "\\n" + ",".join(links)

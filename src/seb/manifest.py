@@ -122,7 +122,7 @@ def _load_entry(
     stages = build_stages(act)
     free = free_vars_of_graph(stages["compress"])
     var_map: dict[str, Value | None] = {
-        v: None for v in classify_occurrences(act, free).all_vars | own.keys()
+        v: None for v in classify_occurrences(act).all_vars | own.keys()
     }
     unknown = ", ".join(sorted(bindings.keys() - var_map.keys()))
     if unknown:
@@ -188,11 +188,11 @@ def _load_forms(forms: list[Node], base: Path) -> LoadedManifest:
     keyed, binds = _keyword_split(client_form.items[1:], (":file",))
     if ":file" not in keyed:
         raise _err(client_form, "client entries need :file")
-    act, var_map, free, graph = _load_entry(
+    _, var_map, free, graph = _load_entry(
         base, client_form, "client", keyed[":file"], binds, {}
     )
     try:
-        client = make_client(var_map, act, graph, services, free)
+        client = make_client(var_map, graph, services, free)
     except ConfigurationError as exc:
         raise ManifestError(f"client is not valid: {exc}") from exc
     return LoadedManifest(tuple(services), client)

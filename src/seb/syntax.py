@@ -205,11 +205,10 @@ def child_nodes(act: Activity) -> tuple[Activity, ...]:
 Path = tuple[int, ...]
 
 
-def subacts(act: Activity, strict: bool = False) -> dict[Path, Activity]:
+def subacts(act: Activity) -> dict[Path, Activity]:
     """Transitively contained subactivities, keyed by tree path (preorder).
 
-    The reflexive set includes ``act`` itself at path ``()``; the strict
-    variant drops the root.
+    The set is reflexive: it includes ``act`` itself at path ``()``.
     """
     out: dict[Path, Activity] = {}
 
@@ -219,8 +218,6 @@ def subacts(act: Activity, strict: bool = False) -> dict[Path, Activity]:
             walk(child, path + (i,))
 
     walk(act, ())
-    if strict:
-        del out[()]
     return out
 
 
@@ -328,12 +325,9 @@ def to_source(act: Activity) -> str:
             return "(nil)"
         case Ses(s, p):
             return f"(ses {s} {p}{_common_fields(act)})"
-        case Inv(s, op, args):
-            args_s = f" ({' '.join(args)})" if args else ""
-            return f"(inv {s} {op}{args_s}{_common_fields(act)})"
-        case Rec(s, op, params):
-            params_s = f" ({' '.join(params)})" if params else ""
-            return f"(rec {s} {op}{params_s}{_common_fields(act)})"
+        case Inv(s, op, names) | Rec(s, op, names):
+            names_s = f" ({' '.join(names)})" if names else ""
+            return f"({kind_name(act)} {s} {op}{names_s}{_common_fields(act)})"
         case Seq(children) | Flo(children):
             body = " ".join(to_source(c) for c in children)
             return f"({kind_name(act)}{_common_fields(act)} {body})"

@@ -227,23 +227,6 @@ def build_stages(
     return stages
 
 
-def compile_stages(
-    act: Activity,
-    upto: str = "min",
-    *,
-    keep_payloads: bool = False,
-    max_states: int | None = None,
-) -> ControlGraph:
-    """The control graph of one stage of the pipeline.
-
-    Payloads are dropped from the result unless ``keep_payloads``;
-    minimization always discards them because it merges states that
-    differ only by payload.
-    """
-    g = build_stages(act, upto, max_states=max_states)[upto]
-    return g if keep_payloads else g.without_payloads()
-
-
 # --------------------------------------------------------------------------
 # Stage invariants
 

@@ -44,7 +44,6 @@ class VarReport:
     all_vars: frozenset[str]
     binding: frozenset[str]
     usage: frozenset[str]
-    free: frozenset[str]
     forbidden: tuple[Diagnostic, ...]
 
 
@@ -63,11 +62,8 @@ _FORBIDDEN_BINDINGS = {
 }
 
 
-def classify_occurrences(act: Activity, free: frozenset[str] | None = None) -> VarReport:
-    """Binding/usage occurrence sets plus forbidden-occurrence diagnostics.
-
-    ``free`` is ``free_vars(act)``, computed here when not given.
-    """
+def classify_occurrences(act: Activity) -> VarReport:
+    """Binding/usage occurrence sets plus forbidden-occurrence diagnostics."""
     all_vars: set[str] = set()
     binding: set[str] = set()
     usage: set[str] = set()
@@ -86,7 +82,6 @@ def classify_occurrences(act: Activity, free: frozenset[str] | None = None) -> V
         all_vars=frozenset(all_vars),
         binding=frozenset(binding),
         usage=frozenset(usage),
-        free=free_vars(act) if free is None else free,
         forbidden=tuple(sort_diagnostics(forbidden)),
     )
 
@@ -141,9 +136,7 @@ def open_for_reception(g: ControlGraph, state: int, s: str) -> bool:
 # Deployability
 
 
-def check_deployable(
-    var_map: dict, pic: Activity, free: frozenset[str] | None = None
-) -> list[Diagnostic]:
+def check_deployable(var_map: dict, pic: Activity, free: frozenset[str]) -> list[Diagnostic]:
     """Whether (map, pic) can be deployed as a service factory.
 
     The activity must be a pick whose every branch starts by receiving on
@@ -172,9 +165,9 @@ def check_deployable(
                 )
             )
 
-    report = classify_occurrences(pic, free)
+    report = classify_occurrences(pic)
+    out.extend(report.forbidden)
     kinds, _ = infer_kinds(pic)
-    free = report.free
 
     if ROOT_SESSION_VAR not in free:
         out.append(

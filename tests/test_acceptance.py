@@ -21,7 +21,7 @@ from seb.manifest import load_manifest
 from seb.parser import parse_activity_file
 from seb.transforms import (
     action_priority,
-    compile_stages,
+    build_stages,
     minimize,
     refine_partition,
     run_to_completion,
@@ -46,7 +46,7 @@ def report(criterion: int, text: str) -> None:
 
 def quotecomparer_rtc():
     act = parse_activity_file(ROOT / "corpus" / "quotecomparer.seb")
-    return compile_stages(act, "rtc", keep_payloads=True)
+    return build_stages(act, "rtc")["rtc"]
 
 
 def test_criterion_01_quotecomparer_has_five_terminal_states():
@@ -75,7 +75,7 @@ def test_criterion_02_terminal_link_map_of_the_no_quote_outcome():
 
 def test_criterion_03_single_sink_after_minimization():
     for path in corpus_activities():
-        g = compile_stages(parse_activity_file(path), "min")
+        g = build_stages(parse_activity_file(path))["min"]
         assert len(g.sinks()) == 1, path.name
     report(3, "every corpus activity minimizes to a single sink")
 
@@ -142,7 +142,7 @@ def test_criterion_06_seq_desugaring_matches_sequential_reference():
         reference = {sequential_reference_trace(seq)}
         raw = build_raw_cg(seq)
         assert complete_traces(raw) == reference, f"seed {seed} (raw)"
-        final = compile_stages(seq, "min")
+        final = build_stages(seq)["min"]
         assert complete_traces(final) == reference, f"seed {seed} (compiled)"
         checked += 1
     assert checked >= 100
@@ -195,8 +195,8 @@ def test_criterion_08_mismatch_unsafe_with_replayable_witness_trace():
 
 def test_criterion_09_byte_identical_reruns():
     act_path = ROOT / "corpus" / "quotecomparer.seb"
-    one = to_aut(compile_stages(parse_activity_file(act_path), "min"))
-    two = to_aut(compile_stages(parse_activity_file(act_path), "min"))
+    one = to_aut(build_stages(parse_activity_file(act_path))["min"])
+    two = to_aut(build_stages(parse_activity_file(act_path))["min"])
     assert one == two
 
     loaded = load_manifest(ROOT / "corpus" / "pingpong.cfg")

@@ -286,6 +286,31 @@ def test_binding_a_value_that_is_never_read_is_an_input_error(
     assert captured.err.splitlines() == [f"error: {manifest}: {message}"]
 
 
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        (
+            "fixtures/initiates_root.cfg",
+            "service 'ping' is not deployable: S0_INITIATED at /1/1: "
+            "'s0' is implicitly bound at service instantiation and cannot be initiated",
+        ),
+        (
+            "fixtures/rebinds_own_location.cfg",
+            "service 'ping' is not deployable: P0_REBOUND at /0: "
+            "'p0' holds the own location and cannot be rebound by a reception",
+        ),
+    ],
+)
+def test_service_with_a_forbidden_occurrence_is_an_input_error(
+    command, manifest, message, capsys
+):
+    assert main([command, manifest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {manifest}: {message}"]
+
+
 PING = "(service ping :file pingpong_service.seb :at pingloc"
 CLIENT = '(client :file pingpong_client.seb :bind (p pingloc) (msg "marco"))'
 

@@ -38,8 +38,8 @@ from seb.diagnostics import (
 )
 from seb.manifest import load_manifest
 from seb.parser import parse_activity
-from seb.transforms import compile_stages
-from seb.variables import classify_occurrences
+from seb.transforms import build_stages
+from seb.variables import classify_occurrences, free_vars
 
 from conftest import ROOT
 
@@ -51,7 +51,7 @@ def service_from(source: str, name: str, at: str, **binds) -> DeployableService:
     var_map["p0"] = ServiceLoc(at)
     for var, value in binds.items():
         var_map[var] = value
-    return make_service(name, var_map, act, compile_stages(act, "min"))
+    return make_service(name, var_map, act, build_stages(act)["min"], free_vars(act))
 
 
 def client_from(source: str, services, **binds) -> Instance:
@@ -60,7 +60,7 @@ def client_from(source: str, services, **binds) -> Instance:
     var_map = {v: None for v in report.all_vars}
     for var, value in binds.items():
         var_map[var] = value
-    return make_client(var_map, act, compile_stages(act, "min"), services)
+    return make_client(var_map, build_stages(act)["min"], services, free_vars(act))
 
 
 PING_SERVICE = "(pic (on (rec s0 ping (x)) (inv s0 pong (x))))"
@@ -236,7 +236,7 @@ FAULT_STEPS = [
 @pytest.mark.parametrize("source, var_map, counter, labels, fault", FAULT_STEPS)
 def test_fault_steps_have_exact_text(source, var_map, counter, labels, fault):
     svc = service_from(PING_SERVICE, "ping", "svc")
-    graph = compile_stages(parse_activity(source), "min")
+    graph = build_stages(parse_activity(source))["min"]
     client = Instance("client", make_var_map(var_map), graph, graph.init)
     config = replace(make_initial_config([svc], client), fresh_counter=counter)
     [step] = successors(config)

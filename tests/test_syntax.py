@@ -30,7 +30,6 @@ def test_nil_reads_empty_control_fields_it_does_not_declare():
 def test_subacts_atomic_is_reflexive_singleton():
     act = Inv("s", "op", ("x",))
     assert subacts(act) == {(): act}
-    assert subacts(act, strict=True) == {}
 
 
 def test_subacts_structured():
@@ -38,14 +37,13 @@ def test_subacts_structured():
     b = Inv("s", "b")
     act = Seq((a, b))
     assert subacts(act) == {(): act, (0,): a, (1,): b}
-    assert subacts(act, strict=True) == {(0,): a, (1,): b}
 
 
 def test_subacts_flo_strict():
     a = Inv("s", "a")
     b = Inv("s", "b")
     act = Flo((a, b))
-    assert set(subacts(act, strict=True).values()) == {a, b}
+    assert {sub for path, sub in subacts(act).items() if path} == {a, b}
 
 
 def test_pred_pairs_from_links():

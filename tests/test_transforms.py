@@ -10,7 +10,6 @@ from seb.transforms import (
     TransformPreconditionError,
     build_stages,
     check_stage_invariants,
-    compile_stages,
     minimize,
     refine_partition,
     run_to_completion,
@@ -152,7 +151,7 @@ def test_minimize_rejects_silent_transitions():
 def test_minimized_partition_is_discrete():
     for seed in range(40):
         act = random_activity(seed, depth=3)
-        out = compile_stages(act, "min")
+        out = build_stages(act)["min"]
         block = refine_partition(out)
         assert len(set(block)) == out.num_states, seed
 
@@ -162,21 +161,21 @@ def test_minimized_partition_is_discrete():
 
 
 def test_nil_compiles_to_a_point():
-    g = compile_stages(Nil(), "min")
+    g = build_stages(Nil())["min"]
     assert g.num_states == 1
     assert g.transitions == ()
     assert g.sinks() == [g.init]
 
 
 def test_atom_compiles_to_one_edge():
-    g = compile_stages(Inv("s", "op", ("x",)), "min")
+    g = build_stages(Inv("s", "op", ("x",)))["min"]
     assert g.num_states == 2
     assert g.transitions == ((0, Send("s", "op", ("x",)), 1),)
 
 
 @pytest.mark.parametrize("path", corpus_activities(), ids=lambda p: p.name)
 def test_every_corpus_activity_has_a_single_sink(path):
-    g = compile_stages(parse_activity_file(path), "min")
+    g = build_stages(parse_activity_file(path))["min"]
     assert len(g.sinks()) == 1
 
 
@@ -225,7 +224,7 @@ def test_compiled_traces_are_a_subset_of_raw_traces():
             raw = build_raw_cg(act, max_states=400)
         except StateCapExceeded:
             continue
-        final = compile_stages(act, "min")
+        final = build_stages(act)["min"]
         assert complete_traces(final) <= complete_traces(raw), seed
         checked += 1
 
@@ -245,7 +244,7 @@ def test_rtc_commutes_with_compression():
 
 
 def test_aut_roundtrip_on_corpus(quotecomparer):
-    g = compile_stages(quotecomparer, "min")
+    g = build_stages(quotecomparer)["min"]
     back = from_aut(to_aut(g))
     assert back == g
 
@@ -273,7 +272,7 @@ def test_dot_marks_terminals_and_uses_tau_glyph():
 
 
 def test_dot_and_aut_agree_on_counts(quotecomparer):
-    g = compile_stages(quotecomparer, "min")
+    g = build_stages(quotecomparer)["min"]
     dot = to_dot(g)
     aut = to_aut(g)
     assert dot.count("->") - 1 == len(g.transitions)  # one arrow for the start marker
@@ -281,7 +280,7 @@ def test_dot_and_aut_agree_on_counts(quotecomparer):
 
 
 def test_quotecomparer_prioritized_graph_keeps_five_terminals(quotecomparer):
-    g = compile_stages(quotecomparer, "prio", keep_payloads=True)
+    g = build_stages(quotecomparer, "prio")["prio"]
     assert len(g.sinks()) == 5
     for sink in g.sinks():
         assert isinstance(g.payloads[sink][1], Nil)

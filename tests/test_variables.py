@@ -1,6 +1,7 @@
 import pytest
 
-from seb.configs import Data, ServiceLoc
+from seb import compiler
+from seb.configs import Data, ServiceLoc, make_client, make_service
 from seb.diagnostics import (
     DOMAIN_MISMATCH,
     FREE_SESSION,
@@ -12,7 +13,7 @@ from seb.diagnostics import (
     UNDEFINED_FREE,
 )
 from seb.parser import parse_activity
-from seb.transforms import compile_stages, minimize, tau_compress, tau_prioritize
+from seb.transforms import build_stages, minimize, tau_compress, tau_prioritize
 from seb.variables import (
     check_deployable,
     classify_occurrences,
@@ -36,9 +37,10 @@ def test_binding_and_usage_of_session_then_send():
 
 
 def test_nil_has_no_variables():
-    report = classify_occurrences(parse_activity("(nil)"))
+    act = parse_activity("(nil)")
+    report = classify_occurrences(act)
     assert report.all_vars == report.binding == report.usage == frozenset()
-    assert report.free == frozenset()
+    assert free_vars(act) == frozenset()
 
 
 def test_rebinding_own_location_is_forbidden():
@@ -95,8 +97,7 @@ def test_freeness_stable_across_equivalence_preserving_stages():
 
 def test_free_vars_subset_of_usage():
     for n, (act, _) in enumerate(small_random_activities(40)):
-        report = classify_occurrences(act)
-        assert report.free <= report.usage, n
+        assert free_vars(act) <= classify_occurrences(act).usage, n
 
 
 # --------------------------------------------------------------------------
@@ -105,21 +106,21 @@ def test_free_vars_subset_of_usage():
 
 def test_open_for_reception_matches_session_variable():
     act = parse_activity("(rec s quote (q))")
-    g = compile_stages(act, "min")
+    g = build_stages(act)["min"]
     assert open_for_reception(g, g.init, "s")
     assert not open_for_reception(g, g.init, "r")
 
 
 def test_sink_states_are_never_open():
     act = parse_activity("(rec s quote (q))")
-    g = compile_stages(act, "min")
+    g = build_stages(act)["min"]
     [sink] = g.sinks()
     assert not open_for_reception(g, sink, "s")
 
 
 def test_open_for_reception_rejects_foreign_state():
     act = parse_activity("(rec s quote (q))")
-    g = compile_stages(act, "min")
+    g = build_stages(act)["min"]
     with pytest.raises(ValueError):
         open_for_reception(g, 99, "s")
 
@@ -138,7 +139,7 @@ def quotecomparer_map(act):
 
 
 def test_quotecomparer_is_deployable(quotecomparer):
-    assert check_deployable(quotecomparer_map(quotecomparer), quotecomparer) == []
+    assert check_deployable(quotecomparer_map(quotecomparer), quotecomparer, free_vars(quotecomparer)) == []
 
 
 def test_quotecomparer_free_vars(quotecomparer):
@@ -150,26 +151,26 @@ def test_branch_on_foreign_session_rejected():
     report = classify_occurrences(act)
     var_map = {v: None for v in report.all_vars | {"p0"}}
     var_map["p0"] = ServiceLoc("loc")
-    codes = [d.code for d in check_deployable(var_map, act)]
+    codes = [d.code for d in check_deployable(var_map, act, free_vars(act))]
     assert ROOT_SESSION in codes
 
 
 def test_missing_free_value_rejected(quotecomparer):
     var_map = quotecomparer_map(quotecomparer)
     var_map["EZshop"] = None
-    codes = [d.code for d in check_deployable(var_map, quotecomparer)]
+    codes = [d.code for d in check_deployable(var_map, quotecomparer, free_vars(quotecomparer))]
     assert codes == [UNDEFINED_FREE]
 
 
 def test_non_pic_rejected():
     act = parse_activity("(inv s0 op)")
-    assert [d.code for d in check_deployable({}, act)] == [NOT_PIC]
+    assert [d.code for d in check_deployable({}, act, free_vars(act))] == [NOT_PIC]
 
 
 def test_nonfree_must_stay_undefined():
     act = parse_activity("(pic (on (rec s0 op (x)) (nil)))")
     var_map = {"s0": None, "x": Data("oops"), "p0": ServiceLoc("loc")}
-    codes = [d.code for d in check_deployable(var_map, act)]
+    codes = [d.code for d in check_deployable(var_map, act, free_vars(act))]
     assert codes == [NONFREE_DEFINED]
 
 
@@ -177,7 +178,7 @@ def test_nonfree_must_stay_undefined():
 def test_root_session_must_stay_undefined(value):
     act = parse_activity("(pic (on (rec s0 op (x)) (nil)))")
     var_map = {"s0": value, "x": None, "p0": ServiceLoc("loc")}
-    assert [str(d) for d in check_deployable(var_map, act)] == [
+    assert [str(d) for d in check_deployable(var_map, act, free_vars(act))] == [
         "ROOT_SESSION at /: 's0' is bound when an instance starts and must stay undefined"
     ]
 
@@ -185,7 +186,7 @@ def test_root_session_must_stay_undefined(value):
 def test_domain_must_match_occurring_variables():
     act = parse_activity("(pic (on (rec s0 op (x)) (nil)))")
     var_map = {"s0": None, "p0": ServiceLoc("loc"), "ghost": None, "x": None}
-    codes = [d.code for d in check_deployable(var_map, act)]
+    codes = [d.code for d in check_deployable(var_map, act, free_vars(act))]
     assert DOMAIN_MISMATCH in codes
 
 
@@ -194,5 +195,49 @@ def test_free_session_beyond_root_rejected():
     report = classify_occurrences(act)
     var_map = {v: None for v in report.all_vars | {"p0"}}
     var_map["p0"] = ServiceLoc("loc")
-    codes = [d.code for d in check_deployable(var_map, act)]
+    codes = [d.code for d in check_deployable(var_map, act, free_vars(act))]
     assert FREE_SESSION in codes
+
+
+@pytest.mark.parametrize(
+    "source, diagnostic",
+    [
+        (
+            "(pic (on (rec s0 ping (x)) (seq (inv s0 pong (x)) (ses s0 p0))))",
+            "S0_INITIATED at /1/1: 's0' is implicitly bound at service "
+            "instantiation and cannot be initiated",
+        ),
+        (
+            "(pic (on (rec s0 ping (p0)) (inv s0 pong (p0))))",
+            "P0_REBOUND at /0: 'p0' holds the own location and cannot be "
+            "rebound by a reception",
+        ),
+    ],
+    ids=["initiates-root-session", "rebinds-own-location"],
+)
+def test_forbidden_occurrence_is_not_deployable(source, diagnostic):
+    act = parse_activity(source)
+    var_map = {v: None for v in classify_occurrences(act).all_vars}
+    var_map["p0"] = ServiceLoc("loc")
+    assert [str(d) for d in check_deployable(var_map, act, free_vars(act))] == [diagnostic]
+
+
+def test_occurrence_reports_and_deployability_compile_nothing(quotecomparer, monkeypatch):
+    service_free = free_vars(quotecomparer)
+    service_graph = build_stages(quotecomparer)["min"]
+    client = parse_activity("(seq (ses s p) (inv s request (item)))")
+    client_free = free_vars(client)
+    client_graph = build_stages(client)["min"]
+
+    def no_closure(*args):
+        raise AssertionError("a control graph was compiled")
+
+    monkeypatch.setattr(compiler, "_closure", no_closure)
+    report = classify_occurrences(quotecomparer)
+    assert {"s0", "EZshop", "QuickBuy"} <= report.usage
+    var_map = quotecomparer_map(quotecomparer)
+    assert check_deployable(var_map, quotecomparer, service_free) == []
+    service = make_service("qc", var_map, quotecomparer, service_graph, service_free)
+    client_map = {"s": None, "p": ServiceLoc("qc"), "item": Data("book")}
+    instance = make_client(client_map, client_graph, [service], client_free)
+    assert instance.graph is client_graph
