@@ -15,22 +15,25 @@ deterministic.  Instances, configurations and steps are slotted but not
 frozen dataclasses: exploration builds one of each per step, and a frozen
 dataclass costs about three times as much to build.
 
-Exploration looks up, rather than recomputes, what each instance can do:
-
-* each control graph's successor table (``ControlGraph.successor_table``)
-  is built once, on first use, and then shared by every instance that
-  runs that graph; it must not be mutated.  A row holds a state's edges
-  (``all``) and, apart, its receptions (``recvs``), which
-  ``one_step_safe`` reads;
-* ``successors`` makes one pass over the instances and sends each edge of
-  a live instance, by action class, to SES1, INV or REC;
-* ``explore_safety`` keys what it has visited by ``canonical_key``, which
-  forgets finished instances, dead sessions, the order of the instances
-  and the names of session ids; each instance computes its part once.
+Exploration looks up, rather than recomputes, what each instance can do.
+Each control graph builds on first use, and shares with every instance
+that runs it, two tables that must not be mutated: its successor table
+(``ControlGraph.successor_table``), each state's sorted edges and what its
+receptions accept, and its slot table (``ControlGraph.slot_table``).  A
+var map is sorted by name, so each variable sits at a fixed position, its
+slot; an edge row lists the slots of its action's variables, and a step
+reads and binds them by position, without searching or sorting the map.
+Queues are kept by location name and by session number.
+``explore_safety`` keys what it has visited by ``canonical_key``, which
+forgets finished instances, dead sessions, the order of the instances
+and the names of session ids; each instance computes its part once.
 
 ``explore_safety`` also reduces by partial order (ample sets, in the manner
 of Clarke, Grumberg, Minea and Peled): where it can, a configuration
-expands the steps of one actor only.  Three facts make that sound:
+expands the steps of one actor only.  As in Peled's and Godefroid's
+algorithms, the actor is chosen before any step is built: ``_ample``
+reads it off the configuration, and ``successors(config, actor)`` builds
+its steps alone.  Three facts make that sound:
 
 * each session id is held by one instance at most, and session ids are
   never sent, because payloads must be ``EXCHANGEABLE``: a session's
@@ -75,7 +78,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
-from .control import ControlGraph, Recv, SesInit, Send, StateEdges
+from .control import ControlGraph, Recv, SesInit, Send, SlotTable, StateEdges
 from .diagnostics import (
     BROKEN_BINDING,
     CLIENT_SHAPE,
@@ -144,12 +147,12 @@ def var_map_get(m: VarMap, var: str) -> Value | None:
     return None
 
 
-def var_map_set(m: VarMap, updates: dict[str, Value | None]) -> VarMap:
-    if not updates:
-        return m
-    d = dict(m)
-    d.update(updates)
-    return make_var_map(d)
+def _bind(m: VarMap, slots, values) -> VarMap:
+    """``m`` with the variables at ``slots`` bound to ``values``, in order."""
+    bound = list(m)
+    for i, value in zip(slots, values):
+        bound[i] = (bound[i][0], value)
+    return tuple(bound)
 
 
 # --------------------------------------------------------------------------
@@ -179,49 +182,91 @@ Message = NewSession | OpMessage
 @dataclass(frozen=True)
 class DeployableService:
     name: str
-    var_map: VarMap
+    var_map: VarMap  # holds ROOT_SESSION, undefined until SES2 binds it
     graph: ControlGraph
     location: ServiceLoc  # the var map's OWN_LOCATION, set once by make_service
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class Instance:
     """A running instance.
 
-    ``edges`` is the current state's row of the graph's successor table;
-    ``_canon`` caches its part of ``canonical_key``.
+    ``var_map`` holds every variable of the graph's actions (one missing
+    from the map given is added undefined), and ``slots`` is the graph's
+    slot table for its names, so a step reads and binds variables by
+    position.  ``edges`` is the current state's row of the graph's
+    successor table; ``_canon`` caches its part of ``canonical_key``.
     """
 
     origin: str  # service name, or "client"
     var_map: VarMap
     graph: ControlGraph = field(repr=False)
     state: int
+    slots: SlotTable = field(init=False, repr=False, compare=False)
     edges: StateEdges = field(init=False, repr=False, compare=False)
     _canon: tuple | None = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self.edges = self.graph.successor_table()[self.state]
+    def __init__(self, origin, var_map, graph, state, slots=None) -> None:
+        """``slots``, when given, is ``graph``'s slot table for ``var_map``."""
+        if slots is None:
+            slots = graph.slot_table(tuple(name for name, _ in var_map))
+            if len(slots.index) > len(var_map):
+                var_map = make_var_map({**dict.fromkeys(slots.index), **dict(var_map)})
+        self.origin = origin
+        self.var_map = var_map
+        self.graph = graph
+        self.state = state
+        self.slots = slots
+        self.edges = graph.successor_table()[state]
         self._canon = None
 
 
 Queues = tuple[tuple[Value, tuple[Message, ...]], ...]
+Keyed = tuple[tuple[str | int, tuple[Message, ...]], ...]
+
+_FIRST = itemgetter(0)
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class RunningConfiguration:
     """A configuration.
 
-    ``queues`` is sorted by destination (``value_key``) and holds no empty
-    queue.  Session ids are drawn in pairs: the k-th session initiation
-    binds ``#2k`` to ``#2k+1``, so the sessions bound so far are exactly
-    ``#0`` to ``#fresh_counter-1``, and ``#k``'s partner is ``#(k xor 1)``.
+    Queues are kept by a service location's name (``locations``) and by a
+    session id's number (``sessions``), sorted, and none is empty.
+    ``queues`` lists them as ``(destination, messages)`` pairs sorted by
+    ``value_key``; the constructor takes that list, or the two tables when
+    it is None.  Session ids are drawn in pairs: the k-th session
+    initiation binds ``#2k`` to ``#2k+1``, so the sessions bound so far
+    are exactly ``#0`` to ``#fresh_counter-1``, and ``#k``'s partner is
+    ``#(k xor 1)``.
     """
 
     services: tuple[DeployableService, ...]
     instances: tuple[Instance, ...]
-    queues: Queues
-    fresh_counter: int = 0
-    fault: Diagnostic | None = None
+    locations: Keyed
+    sessions: Keyed
+    fresh_counter: int
+    fault: Diagnostic | None
+
+    def __init__(self, services, instances, queues=None, fresh_counter=0, fault=None,
+                 locations=(), sessions=()) -> None:
+        if queues is not None:
+            locations = tuple(sorted(
+                ((d.name, q) for d, q in queues if q and type(d) is ServiceLoc), key=_FIRST))
+            sessions = tuple(sorted(
+                ((d.number, q) for d, q in queues if q and type(d) is SessionId), key=_FIRST))
+        self.services = services
+        self.instances = instances
+        self.locations = locations
+        self.sessions = sessions
+        self.fresh_counter = fresh_counter
+        self.fault = fault
+
+    @property
+    def queues(self) -> Queues:
+        pairs = [(ServiceLoc(name), q) for name, q in self.locations]
+        pairs += [(SessionId(k), q) for k, q in self.sessions]
+        return tuple(sorted(pairs, key=lambda entry: value_key(entry[0])))
 
     def queue(self, dest: Value) -> tuple[Message, ...]:
         return dict(self.queues).get(dest, ())
@@ -237,16 +282,11 @@ class RunningConfiguration:
         return tuple((SessionId(k), SessionId(k + 1)) for k in firsts)
 
 
-def _queue_key(entry: tuple[Value, tuple[Message, ...]]) -> tuple:
-    return value_key(entry[0])
-
-
-def _queue_set(queues: Queues, dest: Value, items: tuple[Message, ...]) -> Queues:
-    """``queues`` with ``dest``'s queue replaced; empty queues are dropped."""
-    i = bisect_left(queues, value_key(dest), key=_queue_key)
-    end = i + 1 if i < len(queues) and queues[i][0] == dest else i
-    entry = ((dest, items),) if items else ()
-    return queues[:i] + entry + queues[end:]
+def _queue_set(table: Keyed, key: str | int, items: tuple[Message, ...]) -> Keyed:
+    """``table`` with ``key``'s queue replaced; an empty queue is dropped."""
+    i = bisect_left(table, key, key=_FIRST)
+    end = i + 1 if i < len(table) and table[i][0] == key else i
+    return table[:i] + (((key, items),) if items else ()) + table[end:]
 
 
 # --------------------------------------------------------------------------
@@ -307,6 +347,7 @@ def make_service(
         ]
     if problems:
         raise ConfigurationError(problems)
+    var_map = {ROOT_SESSION: None, **var_map}  # for SES2 to bind
     return DeployableService(name, make_var_map(var_map), graph, location)
 
 
@@ -369,12 +410,7 @@ def make_initial_config(
     problems = check_well_partnered(services)
     if problems:
         raise ConfigurationError(problems)
-    return RunningConfiguration(
-        services=tuple(services),
-        instances=(client,),
-        queues=(),
-        fresh_counter=0,
-    )
+    return RunningConfiguration(tuple(services), (client,), ())
 
 
 # --------------------------------------------------------------------------
@@ -417,40 +453,35 @@ def _advance(
     idx: int,
     to: int,
     var_map: VarMap,
-    queues: Queues,
     fresh: int,
+    locations: Keyed,
+    sessions: Keyed,
 ) -> RunningConfiguration:
     """``config`` with instance ``idx`` moved to state ``to``, holding ``var_map``."""
     inst = config.instances[idx]
-    moved = Instance(inst.origin, var_map, inst.graph, to)
+    moved = Instance(inst.origin, var_map, inst.graph, to, inst.slots)
     instances = config.instances[:idx] + (moved,) + config.instances[idx + 1 :]
-    return RunningConfiguration(config.services, instances, queues, fresh)
+    return RunningConfiguration(
+        config.services, instances, fresh_counter=fresh, locations=locations, sessions=sessions
+    )
 
 
-def _accepts(recv: Recv, head: OpMessage) -> bool:
-    """Whether a reception matches a head message: same operation and arity."""
-    return recv.op == head.op and len(recv.params) == len(head.payload)
+def successors(
+    config: RunningConfiguration, actor: int | str | None = None
+) -> list[ConfigStep]:
+    """Every configuration reachable in one rule application by ``actor``.
 
-
-def successors(config: RunningConfiguration) -> list[ConfigStep]:
-    """Every configuration reachable in one rule application.
-
-    The steps come in a fixed order: SES1 over the instances, SES2 over
-    the services, then INV and REC over the instances, each instance's
-    edges in successor-table order.
+    ``actor`` is an instance's index or a service's name; None stands for
+    every actor.  The steps come in a fixed order: SES1 over the
+    instances, SES2 over the services, then INV and REC over the
+    instances, each instance's edges in successor-table order.  An actor's
+    steps are those of the full list that it takes, in the same order.
     """
     if config.fault is not None:
         return []
     counter = config.fresh_counter
-    # The queues of services by name and of sessions by number: a str or an
-    # int hashes in C, where a value's hash is a Python call.
-    service_queue: dict[str, tuple[Message, ...]] = {}
-    session_queue: dict[int, tuple[Message, ...]] = {}
-    for dest, items in config.queues:
-        if isinstance(dest, SessionId):
-            session_queue[dest.number] = items
-        else:
-            service_queue[dest.name] = items
+    locations, sessions = config.locations, config.sessions
+    service_queue, session_queue = dict(locations), dict(sessions)
     ses1: list[ConfigStep] = []
     inv: list[ConfigStep] = []
     rec: list[ConfigStep] = []
@@ -462,36 +493,41 @@ def successors(config: RunningConfiguration) -> list[ConfigStep]:
         faulty = replace(config, fault=Diagnostic(code, f"{actor} {why}"))
         return ConfigStep(rule, who, (action,), faulty)
 
-    for idx, inst in enumerate(config.instances):
+    if actor is None:
+        movers, spawners = enumerate(config.instances), config.services
+    elif isinstance(actor, int):
+        movers, spawners = ((actor, config.instances[actor]),), ()
+    else:
+        movers, spawners = (), [svc for svc in config.services if svc.name == actor]
+    for idx, inst in movers:
         if not inst.edges.all:
             continue  # an instance at a sink of its graph takes no step
         who = (inst.origin, idx)
         var_map = inst.var_map
-        for action, to in inst.edges.all:
+        for (action, to), slots in zip(inst.edges.all, inst.slots.edges[inst.state]):
             if isinstance(action, SesInit):
                 # SES1: bind two fresh sessions and request a service instance.
-                target = var_map_get(var_map, action.p)
+                target = var_map[slots[1]][1]
                 if not isinstance(target, ServiceLoc):
                     why = f"initiates on '{action.p}' which holds no location"
                     ses1.append(fault("SES1", who, action, BROKEN_BINDING, why))
                     continue
                 request = NewSession(SessionId(counter + 1))
-                queued = _queue_set(
-                    config.queues, target, service_queue.get(target.name, ()) + (request,)
-                )
-                bound = var_map_set(var_map, {action.s: SessionId(counter)})
-                result = _advance(config, idx, to, bound, queued, counter + 2)
+                queue = service_queue.get(target.name, ()) + (request,)
+                queued = _queue_set(locations, target.name, queue)
+                bound = _bind(var_map, slots[:1], (SessionId(counter),))
+                result = _advance(config, idx, to, bound, counter + 2, queued, sessions)
                 what = (action, "->", request, "at", target)
                 ses1.append(ConfigStep("SES1", who, what, result))
             elif isinstance(action, Send):
                 # INV: send an operation message to the partner session.
-                own = var_map_get(var_map, action.s)
+                own = var_map[slots[0]][1]
                 partner = config.partner(own) if isinstance(own, SessionId) else None
                 if partner is None:
                     why = f"sends on '{action.s}' which is not bound to a session"
                     inv.append(fault("INV", who, action, BROKEN_BINDING, why))
                     continue
-                payload = tuple(var_map_get(var_map, arg) for arg in action.args)
+                payload = tuple(var_map[i][1] for i in slots[1:])
                 bad = [
                     arg
                     for arg, value in zip(action.args, payload)
@@ -502,42 +538,41 @@ def successors(config: RunningConfiguration) -> list[ConfigStep]:
                     inv.append(fault("INV", who, action, UNDEFINED_PAYLOAD, why))
                     continue
                 message = OpMessage(action.op, payload)
-                queued = _queue_set(
-                    config.queues, partner, session_queue.get(partner.number, ()) + (message,)
-                )
-                result = _advance(config, idx, to, var_map, queued, counter)
+                queue = session_queue.get(partner.number, ()) + (message,)
+                queued = _queue_set(sessions, partner.number, queue)
+                result = _advance(config, idx, to, var_map, counter, locations, queued)
                 what = (action, "->", message, "to", partner)
                 inv.append(ConfigStep("INV", who, what, result))
             elif isinstance(action, Recv):
-                # REC: consume a matching head message.
-                own = var_map_get(var_map, action.s)
+                # REC: consume a head message of the same operation and arity.
+                own = var_map[slots[0]][1]
                 queue = session_queue.get(own.number, ()) if isinstance(own, SessionId) else ()
                 head = queue[0] if queue else None
-                if not isinstance(head, OpMessage) or not _accepts(action, head):
+                if not (isinstance(head, OpMessage) and head.op == action.op
+                        and len(head.payload) == len(action.params)):
                     continue
-                received = var_map_set(var_map, dict(zip(action.params, head.payload)))
-                queued = _queue_set(config.queues, own, queue[1:])
-                result = _advance(config, idx, to, received, queued, counter)
+                received = _bind(var_map, slots[1:], head.payload)
+                queued = _queue_set(sessions, own.number, queue[1:])
+                result = _advance(config, idx, to, received, counter, locations, queued)
                 rec.append(ConfigStep("REC", who, (action, "<-", head), result))
 
     # SES2: a service consumes a session request and spawns an instance.
     ses2: list[ConfigStep] = []
-    for svc in config.services:
+    for svc in spawners:
         queue = service_queue.get(svc.location.name, ())
         if not queue or not isinstance(queue[0], NewSession):
             continue
         head = queue[0]
+        root = bisect_left(svc.var_map, ROOT_SESSION, key=_FIRST)
         spawned = Instance(
-            origin=svc.name,
-            var_map=var_map_set(svc.var_map, {ROOT_SESSION: head.session}),
-            graph=svc.graph,
-            state=svc.graph.init,
+            svc.name, _bind(svc.var_map, (root,), (head.session,)), svc.graph, svc.graph.init
         )
         result = RunningConfiguration(
             config.services,
             config.instances + (spawned,),
-            _queue_set(config.queues, svc.location, queue[1:]),
-            counter,
+            fresh_counter=counter,
+            locations=_queue_set(locations, svc.location.name, queue[1:]),
+            sessions=sessions,
         )
         what = ("consume", head, "at", svc.location)
         ses2.append(ConfigStep("SES2", svc.name, what, result))
@@ -572,24 +607,14 @@ def one_step_safe(config: RunningConfiguration) -> UnsafeWitness | None:
     operation message, the instance is open for reception on that session,
     yet no outgoing reception matches the head's operation and arity.
     """
-    # Keyed by number, as in ``successors``; only session queues hold
-    # operation messages.
-    heads = {dest.number: items[0] for dest, items in config.queues
-             if isinstance(items[0], OpMessage)}
+    heads = {k: items[0] for k, items in config.sessions if isinstance(items[0], OpMessage)}
     if not heads:
         return None
     for idx, inst in enumerate(config.instances):
-        recvs = inst.edges.recvs
-        if not recvs:
-            continue  # open for reception on no session
-        for var, value in inst.var_map:
+        for var, accepted in inst.edges.receptions:
+            value = inst.var_map[inst.slots.index[var]][1]
             head = heads.get(value.number) if isinstance(value, SessionId) else None
-            if head is None:
-                continue
-            receptions = [action for action, _ in recvs if action.s == var]
-            if not receptions:
-                continue  # not open on this session
-            if not any(_accepts(r, head) for r in receptions):
+            if head is not None and (head.op, len(head.payload)) not in accepted:
                 return UnsafeWitness(
                     instance=f"{inst.origin}[{idx}]",
                     session_var=var,
@@ -632,7 +657,6 @@ ExploreResult = Verified | Unsafe | Exhausted
 # strings, because they equal no value and hash in C.
 _ANY_SESSION = ("even session", "odd session")
 
-_FIRST = itemgetter(0)
 _SHAPE = itemgetter(1)
 
 
@@ -693,20 +717,18 @@ def canonical_key(config: RunningConfiguration, shapes: dict[tuple, int]) -> tup
     held = set(ids)
     kept = []
     sessions_kept = []
-    # Service queues sort first, so every live session is known before its
+    # Service queues come first, so every live session is known before its
     # queue comes up.
-    for dest, items in config.queues:
-        if isinstance(dest, ServiceLoc):
-            renamed = []
-            for request in items:
-                k = request.session.number
-                held.add(k)
-                renamed.append(2 * pairs.setdefault(k >> 1, len(pairs)) + (k & 1))
-            kept.append((dest.name, tuple(renamed)))
-        else:
-            k = dest.number
-            if k in held:
-                sessions_kept.append((2 * pairs[k >> 1] + (k & 1), items))
+    for name, items in config.locations:
+        renamed = []
+        for request in items:
+            k = request.session.number
+            held.add(k)
+            renamed.append(2 * pairs.setdefault(k >> 1, len(pairs)) + (k & 1))
+        kept.append((name, tuple(renamed)))
+    for k, items in config.sessions:
+        if k in held:
+            sessions_kept.append((2 * pairs[k >> 1] + (k & 1), items))
     sessions_kept.sort(key=_FIRST)
     key.append(tuple(kept + sessions_kept))
     return tuple(key)
@@ -717,33 +739,36 @@ def _max_queue(key: tuple) -> int:
     return max((len(items) for _, items in key[-1]), default=0)
 
 
-def _commutes(inst: Instance) -> bool:
-    """Whether every step ``inst`` can take commutes with every other actor's.
+def _ample(config: RunningConfiguration) -> int | str | None:
+    """The actor whose steps alone ``config`` may expand, read off ``config``; or None.
 
-    True when all its current edges are sends, or all are receptions on
-    one variable (the module docstring argues why).
+    It is the first, in step order, whose steps all commute with every
+    other actor's: a service that can take SES2, else an instance whose
+    edges are all sends, else one whose edges are all receptions on one
+    variable and that can take one.  Edge rows sort by action class, then
+    by session variable, so their first and last edges say what all are.
     """
-    edges = inst.edges.all
-    first = edges[0][0]
-    if isinstance(first, Send):
-        return all(isinstance(action, Send) for action, _ in edges)
-    return isinstance(first, Recv) and all(
-        isinstance(action, Recv) and action.s == first.s for action, _ in edges
-    )
-
-
-def _ample(config: RunningConfiguration, steps: list[ConfigStep]) -> list[int] | None:
-    """The indices in ``steps`` of one independent actor's steps, or None.
-
-    The actor is the first, in step order, that is a service taking SES2
-    or an instance whose steps all commute with the others' (``_commutes``);
-    an instance that can initiate a session never qualifies.
-    """
-    for step in steps:
-        who = step.who
-        if step.rule == "SES2" or _commutes(config.instances[who[1]]):
-            return [i for i, other in enumerate(steps) if other.who == who]
-    return None
+    service_queue, session_queue = dict(config.locations), dict(config.sessions)
+    for svc in config.services:
+        queue = service_queue.get(svc.location.name)
+        if queue and isinstance(queue[0], NewSession):
+            return svc.name
+    receiver = None
+    for idx, inst in enumerate(config.instances):
+        edges = inst.edges.all
+        if not edges:
+            continue
+        first, last = edges[0][0], edges[-1][0]
+        if isinstance(first, Send) and isinstance(last, Send):
+            return idx
+        if receiver is None and isinstance(first, Recv) and first.s == last.s:
+            [(var, accepted)] = inst.edges.receptions
+            own = inst.var_map[inst.slots.index[var]][1]
+            queue = session_queue.get(own.number) if isinstance(own, SessionId) else None
+            head = queue[0] if queue else None
+            if isinstance(head, OpMessage) and (head.op, len(head.payload)) in accepted:
+                receiver = idx
+    return receiver
 
 
 def explore_safety(
@@ -792,24 +817,26 @@ def explore_safety(
             witness = one_step_safe(config)
             if witness is not None:
                 return Unsafe(trace_to(key), witness, configurations=len(visited))
-            steps = successors(config)
-            keys: list[tuple | None] = [None] * len(steps)
-            chosen = _ample(config, steps)
-            for i in chosen or ():
-                if steps[i].result.fault is not None:
+            actor = _ample(config)
+            steps = [] if actor is None else successors(config, actor)
+            keys: list[tuple | None] = []
+            for step in steps:
+                if step.result.fault is not None:
+                    keys.append(None)
                     continue
-                keys[i] = succ_key = canonical_key(steps[i].result, shapes)
+                keys.append(succ_key := canonical_key(step.result, shapes))
                 seen = visited.get(succ_key)
                 if _max_queue(succ_key) > max_queue_len or (seen and seen[0] <= depth):
-                    chosen = None
+                    actor = None
                     break
-            for i in range(len(steps)) if chosen is None else chosen:
-                step = steps[i]
+            if actor is None:
+                steps, keys = successors(config), []
+            for i, step in enumerate(steps):
                 succ = step.result
                 if succ.fault is not None:
                     trace = trace_to(key) + (step,)
                     return Unsafe(trace, None, fault=succ.fault, configurations=len(visited))
-                succ_key = keys[i] or canonical_key(succ, shapes)
+                succ_key = keys[i] if i < len(keys) else canonical_key(succ, shapes)
                 if succ_key in visited:
                     continue
                 if _max_queue(succ_key) > max_queue_len:

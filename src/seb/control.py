@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import NamedTuple
 
 from .syntax import (
@@ -242,16 +243,37 @@ Payload = tuple[LinkMap, Activity]
 class StateEdges(NamedTuple):
     """The outgoing edges of one state, sorted by ``(action.sort_key(), to)``.
 
-    ``all`` holds every edge; ``recvs`` holds its receptions, in that order.
+    ``all`` holds every edge.  ``receptions`` holds, for each session
+    variable the state receives on, in name order, the variable and the
+    ``(operation, arity)`` pairs its receptions accept.
     """
 
     all: tuple[tuple[Action, int], ...]
-    recvs: tuple[tuple[Recv, int], ...]
+    receptions: tuple[tuple[str, frozenset[tuple[str, int]]], ...]
 
 
 def _state_edges(out: list[tuple[Action, int]]) -> StateEdges:
     edges = tuple(sorted(out, key=lambda e: (e[0].sort_key(), e[1])))
-    return StateEdges(edges, tuple(e for e in edges if isinstance(e[0], Recv)))
+    recvs = [a for a, _ in edges if isinstance(a, Recv)]  # sorted by session variable
+    receptions = tuple(
+        (var, frozenset((a.op, len(a.params)) for a in group))
+        for var, group in groupby(recvs, key=lambda a: a.s)
+    )
+    return StateEdges(edges, receptions)
+
+
+class SlotTable(NamedTuple):
+    """Where the variables of one graph's var maps over one domain sit.
+
+    A var map is a tuple of ``(name, value)`` pairs sorted by name, so a
+    variable's slot, ``index[name]``, is its position in the sorted
+    domain.  ``edges[state]`` holds, for each edge of the successor
+    table's row, the slots of its action's variables in ``occurrences``
+    order: the session first.
+    """
+
+    index: dict[str, int]
+    edges: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -279,7 +301,7 @@ class ControlGraph:
         return range(self.num_states)
 
     def successor_table(self) -> tuple[StateEdges, ...]:
-        """Per state, its sorted outgoing edges and, apart, its receptions.
+        """Per state, its sorted outgoing edges and what its receptions accept.
 
         Built from ``outgoing()`` on the first call and cached on the graph
         (graphs are immutable), so later calls cost one lookup.  The table
@@ -290,6 +312,23 @@ class ControlGraph:
             table = tuple(_state_edges(out) for out in self.outgoing())
             object.__setattr__(self, "_succ", table)
         return table
+
+    def slot_table(self, names: tuple[str, ...]) -> SlotTable:
+        """The slot table of var maps over ``names`` and the actions' variables.
+
+        Built on the first call for ``names`` and cached on the graph, like
+        the successor table, which it follows row by row.
+        """
+        tables = self.__dict__.setdefault("_slots", {})
+        if names not in tables:
+            rows = [[occurrences(a) for a, _ in r.all] for r in self.successor_table()]
+            used = {var for row in rows for occs in row for var, _, _ in occs}
+            index = {name: i for i, name in enumerate(sorted(used.union(names)))}
+            edges = tuple(
+                tuple(tuple(index[var] for var, _, _ in occs) for occs in row) for row in rows
+            )
+            tables[names] = SlotTable(index, edges)
+        return tables[names]
 
     def outgoing(self) -> list[list[tuple[Action, int]]]:
         table: list[list[tuple[Action, int]]] = [[] for _ in self.states]

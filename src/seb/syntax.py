@@ -411,15 +411,16 @@ for _cls in _Activity.__subclasses__():
 def _links_below(
     act: Activity, field: str, memo: str, strict: bool = False
 ) -> frozenset[str]:
-    """Union of one link field over the (strict) subtree, cached per node."""
-    if strict:
-        return frozenset().union(
-            *(_links_below(child, field, memo) for child in child_nodes(act))
-        )
-    links = act.__dict__.get(memo)
+    """Union of one link field over the (strict) subtree, cached per node.
+
+    A node keeps its subtree's set under ``memo`` and its strict set, the
+    union of its children's, under ``memo + "_strict"``.
+    """
+    key = memo + "_strict" if strict else memo
+    links = act.__dict__.get(key)
     if links is None:
-        links = getattr(act, field)
+        links = frozenset() if strict else getattr(act, field)
         for child in child_nodes(act):
             links |= _links_below(child, field, memo)
-        object.__setattr__(act, memo, links)
+        object.__setattr__(act, key, links)
     return links

@@ -776,6 +776,38 @@ def _explore_every_step(services, client, key_of, kept_queues, max_configs, max_
     return Verified(len(visited))
 
 
+def _commutes(inst) -> bool:
+    """Whether every step ``inst`` can take commutes with every other actor's.
+
+    True when all its current edges are sends, or all are receptions on
+    one variable.
+    """
+    edges = inst.edges.all
+    first = edges[0][0]
+    if isinstance(first, Send):
+        return all(isinstance(action, Send) for action, _ in edges)
+    return isinstance(first, Recv) and all(
+        isinstance(action, Recv) and action.s == first.s for action, _ in edges
+    )
+
+
+def reference_ample(config, steps) -> list[int] | None:
+    """The indices in ``steps`` of one independent actor's steps, or None.
+
+    ``steps`` are all the steps of ``config``.  The actor is the first, in
+    step order, that is a service taking SES2 or an instance whose steps
+    all commute with the others' (``_commutes``).  This is how
+    ``configs.explore_safety`` chose the actor to expand alone before it
+    read the choice off the configuration and built that actor's steps
+    only.
+    """
+    for step in steps:
+        who = step.who
+        if step.rule == "SES2" or _commutes(config.instances[who[1]]):
+            return [i for i, other in enumerate(steps) if other.who == who]
+    return None
+
+
 def unreduced_explore_safety(services, client, max_configs=100_000, max_queue_len=16):
     """Breadth-first safety check keyed by the concrete configurations.
 

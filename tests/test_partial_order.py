@@ -6,17 +6,20 @@ expand every step (``symmetric_explore_safety`` with the same canonical
 key, ``unreduced_explore_safety`` with none), on generated manifests and
 on small manifests that pin the cases the reduction must not get wrong:
 racing session initiations, a fault reached through a reduced expansion
-and a cycle that would put a step off forever without the proviso.
+and a cycle that would put a step off forever without the proviso.  The
+actor read off a configuration is checked against the choice made from
+the full step list (``reference_ample``).
 """
 
 import random
-from collections import Counter
+from collections import Counter, deque
 
 from seb.cli import main
 from seb.configs import (
     Exhausted,
     Unsafe,
     Verified,
+    _ample,
     explore_safety,
     make_initial_config,
     one_step_safe,
@@ -24,10 +27,12 @@ from seb.configs import (
 )
 from seb.diagnostics import UNDEFINED_PAYLOAD
 from seb.manifest import load_manifest
+from seb.parser import InputError
 
 from conftest import ROOT
 from oracles import (
     ManifestGenerator,
+    reference_ample,
     symmetric_explore_safety,
     unreduced_explore_safety,
     write_manifest,
@@ -81,6 +86,69 @@ def test_reduced_explorer_agrees_with_full_expansion(tmp_path):
         smaller += reduced.configurations < symmetric.configurations
     assert outcomes["Verified"] >= 150 and outcomes["Unsafe"] >= 150, outcomes
     assert smaller >= 250, smaller
+
+
+def reached(loaded, limit: int) -> list:
+    """Up to ``limit`` fault-free configurations reachable by every step, breadth first."""
+    initial = make_initial_config(list(loaded.services), loaded.client)
+    seen = {initial}
+    queue = deque([initial])
+    out = []
+    while queue and len(out) < limit:
+        config = queue.popleft()
+        out.append(config)
+        for step in successors(config):
+            if step.result.fault is None and step.result not in seen:
+                seen.add(step.result)
+                queue.append(step.result)
+    return out
+
+
+def check_actor_choice(loaded, limit: int) -> int:
+    """Check ``_ample`` and ``successors(config, actor)`` on reached configurations.
+
+    The actor read off a configuration must be the one the reference picks
+    from the full step list, and each actor's steps must be the full list
+    filtered to that actor, in order.  Returns how many configurations
+    have an actor.
+    """
+    def actor_of(step):
+        return step.who if isinstance(step.who, str) else step.who[1]
+
+    picked = 0
+    for config in reached(loaded, limit):
+        steps = successors(config)
+        chosen = reference_ample(config, steps)
+        actor = _ample(config)
+        assert actor == (None if chosen is None else actor_of(steps[chosen[0]]))
+        if actor is not None:
+            picked += 1
+            assert successors(config, actor) == [steps[i] for i in chosen]
+        for other in [*range(len(config.instances)), *(svc.name for svc in config.services)]:
+            assert successors(config, other) == [s for s in steps if actor_of(s) == other]
+    return picked
+
+
+def test_actor_is_chosen_from_the_configuration_as_from_the_steps(tmp_path):
+    picked = 0
+    manifests = sorted(ROOT.glob("corpus/*.cfg")) + sorted(ROOT.glob("fixtures/**/*.cfg"))
+    for path in manifests + sorted(ROOT.glob("bench/inputs/*/*.cfg")):
+        try:
+            loaded = load_manifest(path)
+        except InputError:
+            continue  # a fixture of a rejected manifest
+        picked += check_actor_choice(loaded, limit=300)
+    for seed in range(300):
+        files = ManifestGenerator(random.Random(seed)).manifest()
+        picked += check_actor_choice(
+            load_manifest(write_manifest(tmp_path / str(seed), files)), limit=40
+        )
+    assert picked >= 3000, picked
+
+
+def test_qc3_verdict_is_exact(capsys):
+    assert main(["check", str(ROOT / "fixtures/qc3/deployed.cfg")]) == 0
+    assert capsys.readouterr().out == "Verified (4159 configurations)\n"
 
 
 def test_qc3_is_verified_within_twenty_thousand(capsys):

@@ -10,12 +10,15 @@ from seb.syntax import (
     TRUE,
     all_links,
     all_sources,
+    all_targets,
     at_path,
     pred_pairs,
     structure_key,
     subacts,
     to_source,
 )
+
+from oracles import _children, _subtree_srcs, _subtree_tgts, random_activity
 
 
 def test_nil_reads_empty_control_fields_it_does_not_declare():
@@ -73,6 +76,21 @@ def test_link_unions():
     )
     assert all_sources(act) == frozenset({"l", "m"})
     assert all_links(act) == frozenset({"l", "m"})
+
+
+def test_strict_link_sets_are_the_union_of_the_children_sets():
+    for seed in range(150):
+        act = random_activity(seed)
+        # Root first, so strict sets are computed before any subtree set is
+        # cached, and then found in the cache.
+        for node in subacts(act).values():
+            srcs = set().union(*(_subtree_srcs(child) for child in _children(node)))
+            tgts = set().union(*(_subtree_tgts(child) for child in _children(node)))
+            assert all_sources(node, strict=True) == srcs
+            assert all_targets(node, strict=True) == tgts
+            assert all_sources(node, strict=True) is all_sources(node, strict=True)
+            assert all_sources(node) == srcs | node.src
+            assert all_targets(node) == tgts | node.tgt
 
 
 def test_to_source_sorts_link_sets():
