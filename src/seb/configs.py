@@ -54,21 +54,82 @@ take, and no other actor can enable or disable them:
   bound to a session with a non-empty queue: only it pops that queue, so
   the head and the receptions that match it stay as they are.
 
-SES1 never qualifies: it appends to a queue that other instances append
-to, and draws from the shared fresh counter.  Unsafety persists under
-the steps of other actors: they neither move the witness instance nor
-pop its queue, and an append leaves a non-empty queue's head alone; a
-fault step stays enabled, as it reads only its own instance.  So if a
-path of other actors' steps reaches an unsafe configuration, taking the
-chosen actor's step first reaches one too; and if the witness is the
-chosen instance itself, it has not moved, so the configuration it starts
-from is unsafe already.  The one cost is that an unsafe configuration may
-be found at a greater depth.  Two provisos keep the argument whole: every
-cycle of the reduced space passes a fully expanded configuration (the
-breadth-first proviso of Bošnački and Holzmann), so no actor is put off
-forever; and a configuration whose chosen successors would overflow
-``max_queue_len`` is expanded fully, so the bound cuts no path that a
-full expansion keeps.
+Unsafety persists under the steps of other actors: they neither move the
+witness instance nor pop its queue, and an append leaves a non-empty
+queue's head alone; a fault step stays enabled, as it reads only its own
+instance.  So if a path of other actors' steps reaches an unsafe
+configuration, taking the chosen actor's step first reaches one too; and
+if the witness is the chosen instance itself, it has not moved, so the
+configuration it starts from is unsafe already.  The one cost is that an
+unsafe configuration may be found at a greater depth.
+
+An instance whose current edges are all session initiations qualifies
+too, though its steps commute with others' only up to symmetry.  Say its
+SES1 step ``a`` binds ``#c`` and appends a request for ``#c+1`` to
+location L.  No other actor reads or writes the instance, so none enables
+or disables ``a`` or changes its target; and against a step ``b`` of
+another actor:
+
+* if ``b`` draws no session pair and appends nothing to L, the two
+  commute exactly (a SES2 at L pops the head of the queue ``a`` appends
+  to);
+* if ``b`` is a SES1, the two orders hand the next two session pairs to
+  the two initiators the other way round: they differ by a renaming of
+  session pairs, which maps steps to steps and keeps safety;
+* if ``b`` also appends its request to L, the two orders differ, up to
+  that renaming, in the order of the two requests.  For either, L's
+  service spawns the same instance at its initial state, bound to
+  another root session; once it has consumed both, the orders differ
+  only in which of two same-shape instances serves which initiator.
+
+``canonical_key`` forgets a renaming of pairs and the order of instances
+of distinct shapes, but keeps that of same-shape instances, which then
+says who serves whom; so the argument matches paths, not keys.  Take a
+path from the configuration to an unsafe one, or to a fault, and let
+``a`` be the instance's first step on it, or any of its steps if it
+takes none.  The matching path takes ``a`` first and then the path's
+other steps, renamed, with one change: where the path has L's service
+consume a request that now queues behind ``a``'s, as does any request
+appended to L after the configuration, whoever appends it, the service
+consumes ``a``'s first.  The instance spawned early waits at its initial
+state until the path would spawn it, and then takes the path's steps; it
+merely sits earlier in the order of the instances, and the path's own
+consumption of ``a``'s request drops out.  Each configuration on the
+matching path is then the path's, up to renaming and the order of the
+instances, except that ``a``'s instance may be a step further on and
+``a``'s request may be queued, or its instance idle at its initial
+state, where the path has not got that far.  None of that makes an
+unsafe configuration safe: ``one_step_safe`` reads no location queue,
+an idle instance only adds a candidate witness, and the instance that
+took ``a`` was open for no reception, so it was no witness.  A SES1
+fault, on a variable that holds no location, is a step of the chosen
+instance itself: it reads only that instance, so it is enabled from the
+configuration on, and it is among the steps expanded there.
+
+Order paths by their number of steps other than SES2, then by the
+length of their leading run of SES2 steps.  Counted from the chosen
+step's result, a matching path is no greater than the path it matches:
+the one SES2 it may add comes after a step other than SES2, since the
+requests the leading run consumes queue ahead of ``a``'s; and when the
+path itself takes the chosen actor's step, the matching path has one
+step other than SES2 fewer.  Two provisos keep the argument whole.  The
+breadth-first proviso of Bošnački and Holzmann expands a configuration
+fully when one of the actor's successors was reached at a depth no
+greater than its own, so an actor is expanded alone only when its
+successors lie one level deeper, and every cycle of the reduced space
+passes a fully expanded configuration.  Suppose a run that cuts nothing
+visits a configuration from which an unsafe one, or a fault, is
+reachable.  Of those, take the ones whose least such path is least and,
+among them, one the run reaches deepest.  Expanded fully, it has a
+successor with a lesser path; expanded by one actor, a deeper successor
+with a path no greater.  Either contradicts the choice, so a run that
+ends ``Verified`` visits no configuration that reaches an unsafe one,
+and an ``Unsafe`` trace is always a real path.  The other proviso: a
+configuration whose chosen successors would overflow ``max_queue_len``
+is expanded fully, so at no configuration does the bound cut more than
+a full expansion does there.  A matching path may still hold one
+message or request more than the path it matches, so a run that the
+bound cuts ends ``Exhausted`` and claims nothing past the bound.
 """
 
 from __future__ import annotations
@@ -743,32 +804,37 @@ def _ample(config: RunningConfiguration) -> int | str | None:
     """The actor whose steps alone ``config`` may expand, read off ``config``; or None.
 
     It is the first, in step order, whose steps all commute with every
-    other actor's: a service that can take SES2, else an instance whose
-    edges are all sends, else one whose edges are all receptions on one
-    variable and that can take one.  Edge rows sort by action class, then
-    by session variable, so their first and last edges say what all are.
+    other actor's, exactly or up to symmetry: an instance whose edges are
+    all session initiations, else a service that can take SES2, else an
+    instance whose edges are all sends, else one whose edges are all
+    receptions on one variable and that can take one.  Edge rows sort by
+    action class, then by session variable, so their first and last edges
+    say what all are.
     """
-    service_queue, session_queue = dict(config.locations), dict(config.sessions)
-    for svc in config.services:
-        queue = service_queue.get(svc.location.name)
-        if queue and isinstance(queue[0], NewSession):
-            return svc.name
-    receiver = None
+    session_queue = dict(config.sessions)
+    sender = receiver = None
     for idx, inst in enumerate(config.instances):
         edges = inst.edges.all
         if not edges:
             continue
         first, last = edges[0][0], edges[-1][0]
-        if isinstance(first, Send) and isinstance(last, Send):
+        if isinstance(first, SesInit) and isinstance(last, SesInit):
             return idx
-        if receiver is None and isinstance(first, Recv) and first.s == last.s:
+        if sender is None and isinstance(first, Send) and isinstance(last, Send):
+            sender = idx
+        elif receiver is None and isinstance(first, Recv) and first.s == last.s:
             [(var, accepted)] = inst.edges.receptions
             own = inst.var_map[inst.slots.index[var]][1]
             queue = session_queue.get(own.number) if isinstance(own, SessionId) else None
             head = queue[0] if queue else None
             if isinstance(head, OpMessage) and (head.op, len(head.payload)) in accepted:
                 receiver = idx
-    return receiver
+    service_queue = dict(config.locations)
+    for svc in config.services:
+        queue = service_queue.get(svc.location.name)
+        if queue and isinstance(queue[0], NewSession):
+            return svc.name
+    return receiver if sender is None else sender
 
 
 def explore_safety(

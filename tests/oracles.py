@@ -779,13 +779,13 @@ def _explore_every_step(services, client, key_of, kept_queues, max_configs, max_
 def _commutes(inst) -> bool:
     """Whether every step ``inst`` can take commutes with every other actor's.
 
-    True when all its current edges are sends, or all are receptions on
-    one variable.
+    True when all its current edges are session initiations (which commute
+    up to symmetry), all are sends, or all are receptions on one variable.
     """
     edges = inst.edges.all
     first = edges[0][0]
-    if isinstance(first, Send):
-        return all(isinstance(action, Send) for action, _ in edges)
+    if isinstance(first, (SesInit, Send)):
+        return all(isinstance(action, type(first)) for action, _ in edges)
     return isinstance(first, Recv) and all(
         isinstance(action, Recv) and action.s == first.s for action, _ in edges
     )
@@ -973,6 +973,58 @@ class ManifestGenerator:
         if "(d)" in client:
             binds.append('(d "x")')
         lines.append(f"(client :file client.seb :bind {' '.join(binds)})")
+        files["deployed.cfg"] = "\n".join(lines) + "\n"
+        return files
+
+
+class RaceGenerator:
+    """Deterministic generator of small manifests whose services race to initiate.
+
+    The client starts two relay services, in sequence or in parallel.
+    Each relay, on ``go`` and now and then only after a second message
+    ``more``, initiates one or two sessions with target services drawn
+    with replacement, sends an operation on each and may await the
+    answer.  So the relays' session initiations race to shared location
+    queues, one of them possibly after the other's request has been
+    consumed.  A target answers ``ok``, or now and then ``no``, which a
+    relay accepts only sometimes.  ``manifest()`` returns files as
+    ``ManifestGenerator.manifest()`` does.
+    """
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+
+    def _relay(self, targets: int) -> str:
+        rng = self.rng
+        parts = ["(rec s0 more ())"] if rng.random() < 0.3 else []
+        for k in range(rng.randrange(1, 3)):
+            parts.append(f"(ses u{k} q{rng.randrange(targets)})")
+            parts.append(f"(inv u{k} {rng.choice(MESSAGE_OPS)} ())")
+            if rng.random() < 0.5:
+                also = " (on (rec u{k} no ()) (nil))" if rng.random() < 0.5 else ""
+                parts.append(f"(pic (on (rec u{k} ok ()) (nil)){also.format(k=k)})")
+        return f"(pic (on (rec s0 go ()) (seq {' '.join(parts)})))\n"
+
+    def manifest(self) -> dict[str, str]:
+        rng = self.rng
+        targets = rng.randrange(1, 3)
+        files = {}
+        for t in range(targets):
+            branches = [
+                f"(on (rec s0 {op} ()) (inv s0 {'no' if rng.random() < 0.12 else 'ok'} ()))"
+                for op in MESSAGE_OPS[: rng.randrange(1, 4)]
+            ]
+            files[f"t{t}.seb"] = f"(pic {' '.join(branches)})\n"
+        lines = [f"(service t{t} :file t{t}.seb :at tloc{t})" for t in range(targets)]
+        client = []
+        for r in range(2):
+            files[f"r{r}.seb"] = relay = self._relay(targets)
+            binds = "".join(f" (q{t} tloc{t})" for t in range(targets) if f" q{t})" in relay)
+            lines.append(f"(service r{r} :file r{r}.seb :at rloc{r} :bind{binds})")
+            more = f" (inv c{r} more ())" if "more" in relay else ""
+            client.append(f"(seq (ses c{r} l{r}) (inv c{r} go ()){more})")
+        files["client.seb"] = f"({rng.choice(('flo', 'seq'))} {' '.join(client)})\n"
+        lines.append("(client :file client.seb :bind (l0 rloc0) (l1 rloc1))")
         files["deployed.cfg"] = "\n".join(lines) + "\n"
         return files
 

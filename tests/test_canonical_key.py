@@ -169,7 +169,7 @@ def test_looping_is_verified_at_the_default_bounds(capsys):
 
 def test_qc_deployed_is_verified_within_ten_thousand(capsys):
     assert main(["check", QC_DEPLOYED, "--max-configs", "10000"]) == 0
-    assert capsys.readouterr().out == "Verified (435 configurations)\n"
+    assert capsys.readouterr().out == "Verified (140 configurations)\n"
 
 
 def test_flooding_reaches_the_queue_bound(capsys):
