@@ -2,7 +2,8 @@
 
 ``enabled_steps`` returns every transition derivable from a configuration
 (link map, residual activity); ``build_raw_cg`` closes it breadth-first
-from the initial configuration.  The step relation:
+from the initial configuration, over one compilation's integer tables
+(``_Build``), emitting states in their final numbering.  The step relation:
 
 * an atomic activity whose join evaluates true fires its action, sets its
   outgoing links true and reduces to nil;
@@ -29,8 +30,6 @@ been desugared beforehand.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .control import (
     Action,
     ControlGraph,
@@ -40,7 +39,7 @@ from .control import (
     eval_join,
     find_cycle,
     initial_link_map,
-    renumber_bfs,
+    sorted_transitions,
     state_key,
 )
 from .syntax import (
@@ -57,12 +56,11 @@ from .syntax import (
     Unf,
     all_sources,
     all_targets,
-    subacts,
+    structure_key,
 )
 from .wellformed import desugar_seq
 
-Step = tuple[Action, LinkMap, Activity]
-State = tuple[LinkMap, Activity]
+State = tuple[int, int]  # (link map no., residual no.) in one _Build
 
 
 class StateCapExceeded(Exception):
@@ -71,105 +69,156 @@ class StateCapExceeded(Exception):
         self.cap = cap
 
 
-class _Memo:
-    """Per-build caches: derived steps per configuration, interned nodes.
+class _Build:
+    """The integer tables of one compilation.
 
-    Interning makes equal residuals the same object, so state lookups
-    compare by identity instead of walking trees.
+    Link maps are numbered by their ``codes``, residuals by a canonical
+    key: a flow by (number of its control fields, its children's
+    numbers), an unfolding by (number of the repeat it unfolds, its
+    body's number), any other node, which is a part of the input tree,
+    by value.  So equal residuals are one number and one object, and a
+    derived residual is built only when its key is new.
     """
 
-    __slots__ = ("steps", "nodes")
+    def __init__(self, c: LinkMap):
+        self.maps, self.map_nos, self.links = [c], {c.codes: 0}, {}
+        self.nodes, self.keys, self.node_nos, self.fields = [], [], {}, {}
+        self.picks, self.steps = {}, {}  # per pick its parts; the memo of _derive
+        self.nil = self.number(NIL)
 
-    def __init__(self):
-        self.steps: dict = {}
-        self.nodes: dict = {}
+    def control(self, act: Activity) -> int:
+        """The number of ``act``'s control fields, as a flow's."""
+        return self.fields.setdefault((act.tgt, act.src, act.jcd, act.lnk), len(self.fields))
 
-    def intern(self, node: Activity) -> Activity:
-        return self.nodes.setdefault(node, node)
+    def number(self, node: Activity, key=None) -> int:
+        """The number of ``node``; ``key`` is given for a derived residual."""
+        if key is None:
+            key = node
+            if isinstance(node, Flo):
+                key = (self.control(node), tuple(map(self.number, node.children)))
+            elif isinstance(node, Unf):
+                rep = Rep(node.do_pic, node.until_pic, node.tgt, node.src, node.jcd)
+                key = (self.number(rep), self.number(node.body))
+        if key not in self.node_nos:
+            self.node_nos[key] = len(self.nodes)
+            self.nodes.append(node)
+            self.keys.append(key)
+        return self.node_nos[key]
+
+    def flow(self, like: Activity, ctl: int, kids: tuple[int, ...]) -> int:
+        """The flow of ``kids`` with ``like``'s control fields, numbered ``ctl``."""
+        no = self.node_nos.get((ctl, kids))
+        if no is None:
+            children = tuple(map(self.nodes.__getitem__, kids))
+            no = self.number(Flo(children, like.tgt, like.src, like.jcd, like.lnk), (ctl, kids))
+        return no
+
+    def unfold(self, rep: int, body: int) -> int:
+        no = self.node_nos.get((rep, body))
+        if no is None:
+            r = self.nodes[rep]
+            node = Unf(self.nodes[body], r.do_pic, r.until_pic, r.tgt, r.src, r.jcd)
+            no = self.number(node, (rep, body))
+        return no
+
+    def set_links(self, m: int, value, links) -> int:
+        key = (m, value, links)
+        no = self.links.get(key)
+        if no is None:
+            c = self.maps[m].set_links(value, links)
+            no = self.links[key] = self.map_nos.setdefault(c.codes, len(self.maps))
+            if no == len(self.maps):
+                self.maps.append(c)
+        return no
+
+    def pick(self, r: int) -> list:
+        """Per branch of pick ``r``: its head, wrapped continuation and cancelled links."""
+        if r not in self.picks:
+            act, parts = self.nodes[r], []
+            sources = all_sources(act, strict=True)
+            for head, cont in act.branches:
+                wrap = self.flow(act, self.control(act), (self.number(cont),))
+                cancelled = sources - all_sources(head) - all_sources(cont)
+                parts.append((self.number(head), wrap, cancelled))
+            self.picks[r] = parts
+        return self.picks[r]
 
 
-def enabled_steps(c: LinkMap, act: Activity) -> list[Step]:
-    """Every derivable transition from (c, act), deduplicated.
+def enabled_steps(c: LinkMap, act: Activity) -> list[tuple[Action, LinkMap, Activity]]:
+    """Every derivable transition from (c, act), deduplicated, ordered by
+    action, then by the successor's ``state_key``."""
+    b = _Build(c)
+    steps = [(a, b.maps[m], b.nodes[r]) for a, m, r in _derive(b, 0, b.number(act))]
+    return sorted(steps, key=lambda s: (s[0].sort_key(), state_key(s[1:])))
 
-    Ordered by action, then by the successor's ``state_key``.
+
+def _derive(b: _Build, m: int, r: int) -> tuple[tuple[Action, int, int], ...]:
+    """The steps ``(action, link map no., residual no.)`` of state (m, r).
+
+    Memoized per build, as interleavings meet the same child states over
+    and over; the lookup is inline, so the recursion takes one frame per level.
     """
-    return sorted(_steps(c, act, _Memo()), key=lambda s: (s[0].sort_key(), state_key(s[1:])))
-
-
-def _steps(c: LinkMap, act: Activity, cache: _Memo) -> tuple[Step, ...]:
-    """Memoized step derivation.
-
-    Interleaving states of a flow recompute the very same child
-    configurations over and over; the per-build cache makes each distinct
-    (link map, residual) pair cost one derivation.  The lookup is inline,
-    so the recursion over a nested tree takes one frame per level.
-    """
-    key = (c, act)
-    hit = cache.steps.get(key)
+    key = (m, r)
+    hit = b.steps.get(key)
     if hit is not None:
         return hit
+    act = b.nodes[r]
     if isinstance(act, Nil):
         return ()
     if isinstance(act, Seq):
         raise ValueError("sequences must be desugared before compilation")
 
-    verdict = eval_join(c, act.jcd, act.tgt)
+    verdict = eval_join(b.maps[m], act.jcd, act.tgt)
     if verdict is None:
-        cache.steps[key] = ()
+        b.steps[key] = ()
         return ()
+    nil = b.nil
     if verdict is False:
         # Dead-path elimination cancels the whole subtree.
-        result = cache.steps[key] = ((TAU, c.set_links(False, all_sources(act)), NIL),)
+        result = b.steps[key] = ((TAU, b.set_links(m, False, all_sources(act)), nil),)
         return result
 
-    steps: list[Step] = []
+    steps: list[tuple[Action, int, int]] = []
     match act:
         case Ses() | Inv() | Rec():
-            steps.append((action_of(act), c.set_links(True, act.src), NIL))
-        case Flo(children, tgt, src, jcd, lnk):
-            if len(children) == 1 and isinstance(children[0], Nil):
-                steps.append((TAU, c.set_links(True, src), NIL))
+            steps.append((action_of(act), b.set_links(m, True, act.src), nil))
+        case Flo():
+            ctl, kids = b.keys[r]
+            if kids == (nil,):
+                steps.append((TAU, b.set_links(m, True, act.src), nil))
             else:
-                for i, child in enumerate(children):
-                    if isinstance(child, Nil):
-                        rest = children[:i] + children[i + 1 :]
-                        succ = cache.intern(Flo(rest, tgt, src, jcd, lnk))
-                        steps.append((TAU, c, succ))
+                for i, kid in enumerate(kids):
+                    if kid == nil:
+                        # Dropping either of two adjacent nils gives one successor.
+                        if not (i and kids[i - 1] == nil):
+                            steps.append((TAU, m, b.flow(act, ctl, kids[:i] + kids[i + 1 :])))
                         continue
-                    for action, c2, residual in _steps(c, child, cache):
-                        body = children[:i] + (residual,) + children[i + 1 :]
-                        succ = cache.intern(Flo(body, tgt, src, jcd, lnk))
-                        steps.append((action, c2, succ))
-        case Pic(branches, tgt, src, jcd):
-            sources = all_sources(act, strict=True)
-            for head, cont in branches:
-                cancelled = sources - all_sources(head) - all_sources(cont)
-                for action, c2, residual in _steps(c, head, cache):
-                    assert isinstance(residual, Nil)
-                    succ = cache.intern(Flo((cont,), tgt, src, jcd))
-                    steps.append((action, c2.set_links(False, cancelled), succ))
-        case Rep(do_pic, until_pic, tgt, src, jcd):
-            for action, c2, residual in _steps(c, do_pic, cache):
-                succ = cache.intern(Unf(residual, do_pic, until_pic, tgt, src, jcd))
-                steps.append((action, c2, succ))
-            for action, c2, residual in _steps(c, until_pic, cache):
-                succ = cache.intern(Flo((residual,), tgt, src, jcd))
-                steps.append((action, c2, succ))
-        case Unf(body, do_pic, until_pic, tgt, src, jcd):
-            if isinstance(body, Nil):
-                c2 = c.set_links(None, all_sources(do_pic, strict=True))
-                c2 = c2.set_links(None, all_targets(do_pic, strict=True))
-                c2 = c2.set_links(True, do_pic.src)
-                succ = cache.intern(Rep(do_pic, until_pic, tgt, src, jcd))
-                steps.append((TAU, c2, succ))
+                    for action, m2, r2 in _derive(b, m, kid):
+                        succ = b.flow(act, ctl, kids[:i] + (r2,) + kids[i + 1 :])
+                        steps.append((action, m2, succ))
+        case Pic():
+            for head, wrap, cancelled in b.pick(r):
+                for action, m2, r2 in _derive(b, m, head):
+                    assert r2 == nil
+                    steps.append((action, b.set_links(m2, False, cancelled), wrap))
+        case Rep():
+            for action, m2, r2 in _derive(b, m, b.number(act.do_pic)):
+                steps.append((action, m2, b.unfold(r, r2)))
+            for action, m2, r2 in _derive(b, m, b.number(act.until_pic)):
+                steps.append((action, m2, b.flow(act, b.control(act), (r2,))))
+        case Unf(do_pic=do):
+            rep, body = b.keys[r]
+            if body == nil:
+                m2 = b.set_links(m, None, all_sources(do, strict=True))
+                m2 = b.set_links(m2, None, all_targets(do, strict=True))
+                steps.append((TAU, b.set_links(m2, True, do.src), rep))
             else:
-                for action, c2, residual in _steps(c, body, cache):
-                    succ = cache.intern(Unf(residual, do_pic, until_pic, tgt, src, jcd))
-                    steps.append((action, c2, succ))
+                for action, m2, r2 in _derive(b, m, body):
+                    steps.append((action, m2, b.unfold(rep, r2)))
         case _:
             raise TypeError(f"not an activity: {act!r}")
 
-    result = cache.steps[key] = tuple(dict.fromkeys(steps))
+    result = b.steps[key] = tuple(dict.fromkeys(steps))
     return result
 
 
@@ -177,12 +226,18 @@ DEFAULT_STATE_CAP = 1_000_000
 
 
 def _closure(act: Activity, max_states: int, stage: str) -> ControlGraph:
-    """The closure behind the ``build_<stage>_cg`` of "raw", "prio" or "compress"."""
+    """The closure behind the ``build_<stage>_cg`` of "raw", "prio" or "compress".
+
+    States are numbered as they are first met, each state's successors
+    visited in action order and then by ``state_key``: the order of
+    ``renumber_bfs``, so the graph comes out in its final numbering.
+    """
     root = desugar_seq(act)
-    cache = _Memo()
-    for node in subacts(root).values():
-        cache.intern(node)
+    b = _Build(initial_link_map(root))
     ends: dict[State, State] = {}
+
+    def order(state: State) -> tuple:  # the payload's state_key, a frame less deep
+        return (b.maps[state[0]].sort_key(), structure_key(b.nodes[state[1]]))
 
     def normal_form(state: State) -> State:
         """Where a state's silent steps lead, chasing the least successor.
@@ -199,45 +254,38 @@ def _closure(act: Activity, max_states: int, stage: str) -> ControlGraph:
         while state not in ends:
             if len(ends) + len(path) >= max_states:
                 raise StateCapExceeded(max_states)
-            steps = _steps(state[0], state[1], cache)
-            silent = [step[1:] for step in steps if step[0] == TAU]
+            silent = [step[1:] for step in _derive(b, *state) if step[0] is TAU]
             if not silent:
                 ends[state] = state
                 break
             path.append(state)
-            state = min(silent, key=state_key)
-        end = ends[state]
-        for visited in path:
-            ends[visited] = end
-        return end
+            state = min(silent, key=order) if len(silent) > 1 else silent[0]
+        ends.update(dict.fromkeys(path, ends[state]))
+        return ends[state]
 
-    start = normal_form((initial_link_map(root), root))
-    index: dict[State, int] = {start: 0}
-    payloads: list[State] = [start]
+    states: list[State] = [normal_form((0, b.number(root)))]
+    index: dict[State, int] = {states[0]: 0}
     transitions: list[tuple[int, Action, int]] = []
-    queue: deque[State] = deque([start])
-
-    while queue:
-        state = queue.popleft()
-        sid = index[state]
-        steps = _steps(state[0], state[1], cache)
+    for sid, state in enumerate(states):  # the queue: found states are appended
+        steps = _derive(b, *state)
         if stage != "raw":
-            taus = [s for s in steps if s[0] == TAU]
-            steps = taus or steps
-        for action, c2, residual in steps:
-            succ = normal_form((c2, residual))
-            to = index.get(succ)
-            if to is None:
-                if len(index) >= max_states:
+            steps = [s for s in steps if s[0] is TAU] or steps
+        edges = []  # a loop, not a comprehension: one frame less above normal_form
+        for step in steps:
+            edges.append((step[0].sort_key(), step[0], normal_form(step[1:])))
+        if len(edges) > 1:
+            edges.sort(key=lambda e: (e[0], order(e[2])))
+        for _, action, succ in edges:
+            if succ not in index:
+                if len(states) >= max_states:
                     raise StateCapExceeded(max_states)
-                to = len(index)
-                index[succ] = to
-                payloads.append(succ)
-                queue.append(succ)
-            transitions.append((sid, action, to))
+                index[succ] = len(states)
+                states.append(succ)
+            transitions.append((sid, action, index[succ]))
 
-    cache.steps.clear()  # free the derivations before renumbering allocates
-    return renumber_bfs(ControlGraph(len(index), 0, tuple(transitions), tuple(payloads)))
+    b.steps.clear()  # free the derivations before the payloads and the sort allocate
+    payloads = tuple((b.maps[m], b.nodes[r]) for m, r in states)
+    return ControlGraph(len(states), 0, sorted_transitions(transitions), payloads)
 
 
 def build_raw_cg(act: Activity, max_states: int = DEFAULT_STATE_CAP) -> ControlGraph:
@@ -245,14 +293,12 @@ def build_raw_cg(act: Activity, max_states: int = DEFAULT_STATE_CAP) -> ControlG
 
     Sequences are desugared first; the initial link map covers every link
     of the desugared tree.  States keep their (link map, residual) payload
-    and are numbered by ``renumber_bfs``.
+    and come numbered in ``renumber_bfs`` order.
     """
     return _closure(act, max_states, "raw")
 
 
-def build_prioritized_cg(
-    act: Activity, max_states: int = DEFAULT_STATE_CAP
-) -> ControlGraph:
+def build_prioritized_cg(act: Activity, max_states: int = DEFAULT_STATE_CAP) -> ControlGraph:
     """Closure with silent steps given priority during exploration.
 
     At any configuration with a silent step, observable alternatives are
@@ -263,9 +309,7 @@ def build_prioritized_cg(
     return _closure(act, max_states, "prio")
 
 
-def build_compressed_cg(
-    act: Activity, max_states: int = DEFAULT_STATE_CAP
-) -> ControlGraph:
+def build_compressed_cg(act: Activity, max_states: int = DEFAULT_STATE_CAP) -> ControlGraph:
     """Closure that follows one silent step per state.
 
     The start state and every successor are chased along the silent
@@ -329,10 +373,7 @@ def find_confluence_violation(g: ControlGraph):
     out = g.outgoing()
     edge_sets = [frozenset(edges) for edges in out]
     for state in g.states:
-        taus = [to for action, to in out[state] if action == TAU]
-        if not taus:
-            continue
-        for g1 in taus:
+        for g1 in [to for action, to in out[state] if action == TAU]:
             for action, g2 in out[state]:
                 if action == TAU and g2 == g1:
                     continue
@@ -353,19 +394,18 @@ def find_sink_shape_violation(g: ControlGraph):
             _, residual = g.payloads[state]
             if not isinstance(residual, Nil):
                 return ("non-nil sink", state)
-    reaches: set[int] = set(g.sinks())
+    reaches = g.sinks()
     incoming: dict[int, set[int]] = {}
     for frm, _, to in g.transitions:
         incoming.setdefault(to, set()).add(frm)
-    queue = deque(reaches)
-    while queue:
-        node = queue.popleft()
+    seen = set(reaches)
+    for node in reaches:  # grows while it is walked: breadth first
         for prev in incoming.get(node, ()):
-            if prev not in reaches:
-                reaches.add(prev)
-                queue.append(prev)
+            if prev not in seen:
+                seen.add(prev)
+                reaches.append(prev)
     for state in g.states:
-        if state not in reaches:
+        if state not in seen:
             return ("sink unreachable from state", state)
     return None
 

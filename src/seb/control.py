@@ -369,7 +369,7 @@ def renumber_bfs(g: ControlGraph) -> ControlGraph:
     old ids when payloads are gone), so the numbering depends only on the
     graph's content, not on the order of its transitions; unreachable
     states are dropped.  Every graph the pipeline returns is numbered
-    here.
+    so; the compiler's closures emit this order directly.
     """
     ties = g.states if g.payloads is None else [state_key(p) for p in g.payloads]
 

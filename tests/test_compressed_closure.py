@@ -104,11 +104,11 @@ def test_silent_loop_stops_at_the_cap(monkeypatch):
     start, other = Inv("s", "a"), Inv("s", "b")
     calls = itertools.count()
 
-    def looping_steps(c, act, cache):
+    def looping_steps(build, m, r):
         assert next(calls) < 1000, "the chase kept stepping past its cap"
-        return ((TAU, c, other if act == start else start),)
+        return ((TAU, m, build.number(other if build.nodes[r] == start else start)),)
 
-    monkeypatch.setattr(compiler, "_steps", looping_steps)
+    monkeypatch.setattr(compiler, "_derive", looping_steps)
     with pytest.raises(StateCapExceeded):
         build_compressed_cg(start, max_states=10)
     assert next(calls) <= 11
