@@ -201,13 +201,6 @@ def make_var_map(mapping: dict[str, Value | None]) -> VarMap:
     return tuple(sorted(mapping.items()))
 
 
-def var_map_get(m: VarMap, var: str) -> Value | None:
-    for name, value in m:
-        if name == var:
-            return value
-    return None
-
-
 def _bind(m: VarMap, slots, values) -> VarMap:
     """``m`` with the variables at ``slots`` bound to ``values``, in order."""
     bound = list(m)
@@ -288,49 +281,31 @@ Keyed = tuple[tuple[str | int, tuple[Message, ...]], ...]
 _FIRST = itemgetter(0)
 
 
-@dataclass(slots=True, unsafe_hash=True, init=False)
+@dataclass(slots=True, unsafe_hash=True)
 class RunningConfiguration:
     """A configuration.
 
     Queues are kept by a service location's name (``locations``) and by a
     session id's number (``sessions``), sorted, and none is empty.
-    ``queues`` lists them as ``(destination, messages)`` pairs sorted by
-    ``value_key``; the constructor takes that list, or the two tables when
-    it is None.  Session ids are drawn in pairs: the k-th session
-    initiation binds ``#2k`` to ``#2k+1``, so the sessions bound so far
-    are exactly ``#0`` to ``#fresh_counter-1``, and ``#k``'s partner is
+    ``queues`` lists them together as ``(destination, messages)`` pairs
+    sorted by ``value_key``.  Session ids are drawn in pairs: the k-th
+    session initiation binds ``#2k`` to ``#2k+1``, so the sessions bound so
+    far are exactly ``#0`` to ``#fresh_counter-1``, and ``#k``'s partner is
     ``#(k xor 1)``.
     """
 
     services: tuple[DeployableService, ...]
     instances: tuple[Instance, ...]
-    locations: Keyed
-    sessions: Keyed
-    fresh_counter: int
-    fault: Diagnostic | None
-
-    def __init__(self, services, instances, queues=None, fresh_counter=0, fault=None,
-                 locations=(), sessions=()) -> None:
-        if queues is not None:
-            locations = tuple(sorted(
-                ((d.name, q) for d, q in queues if q and type(d) is ServiceLoc), key=_FIRST))
-            sessions = tuple(sorted(
-                ((d.number, q) for d, q in queues if q and type(d) is SessionId), key=_FIRST))
-        self.services = services
-        self.instances = instances
-        self.locations = locations
-        self.sessions = sessions
-        self.fresh_counter = fresh_counter
-        self.fault = fault
+    locations: Keyed = ()
+    sessions: Keyed = ()
+    fresh_counter: int = 0
+    fault: Diagnostic | None = None
 
     @property
     def queues(self) -> Queues:
         pairs = [(ServiceLoc(name), q) for name, q in self.locations]
         pairs += [(SessionId(k), q) for k, q in self.sessions]
         return tuple(sorted(pairs, key=lambda entry: value_key(entry[0])))
-
-    def queue(self, dest: Value) -> tuple[Message, ...]:
-        return dict(self.queues).get(dest, ())
 
     def partner(self, session: SessionId) -> SessionId | None:
         k = session.number
@@ -471,7 +446,7 @@ def make_initial_config(
     problems = check_well_partnered(services)
     if problems:
         raise ConfigurationError(problems)
-    return RunningConfiguration(tuple(services), (client,), ())
+    return RunningConfiguration(tuple(services), (client,))
 
 
 # --------------------------------------------------------------------------

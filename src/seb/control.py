@@ -62,13 +62,6 @@ class LinkMap:
     def domain(self) -> frozenset[str]:
         return frozenset(self.names)
 
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = hash(self.codes)
-            object.__setattr__(self, "_h", h)
-        return h
-
     def as_dict(self) -> dict[str, LinkValue]:
         return {name: _VALUES[code] for name, code in zip(self.names, self.codes)}
 

@@ -221,13 +221,6 @@ def subacts(act: Activity) -> dict[Path, Activity]:
     return out
 
 
-def at_path(act: Activity, path: Path) -> Activity:
-    node = act
-    for step in path:
-        node = child_nodes(node)[step]
-    return node
-
-
 def describe_path(act: Activity, path: Path) -> str:
     """Human-readable rendering of a tree path, e.g. ``flo/2:pic/1:rec``."""
     parts = [kind_name(act)]
@@ -284,10 +277,6 @@ def pred_pairs(act: Activity) -> set[tuple[Path, Path]]:
             for i in range(len(sub.children) - 1):
                 pairs.add((path + (i,), path + (i + 1,)))
     return pairs
-
-
-def contains_seq(act: Activity) -> bool:
-    return any(isinstance(s, Seq) for s in subacts(act).values())
 
 
 def contains_unf(act: Activity) -> bool:

@@ -146,7 +146,7 @@ def check_deployable(var_map: dict, pic: Activity, free: frozenset[str]) -> list
     undefined, as well as the root session, which is bound at instantiation.
     The own location is implicitly free: it is the address the service is
     reachable at, whether or not the behavior mentions it.  ``free`` is
-    ``free_vars(pic)``, computed here when not given.
+    ``free_vars(pic)``, which the caller has already computed.
     """
     out: list[Diagnostic] = []
 

@@ -8,6 +8,18 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(Path(__file__).parent))
 
+# Activities whose raw closures take seconds to minutes to build
+# (quotecomparer's has 53,494 states, and fixtures/qc3/comparer.seb is a
+# copy of it; the qc5 client's has 526,890), as paths relative to ROOT.
+# Suites that build every stage leave out their raw route and check
+# their other stages from the fused route.
+RAW_TOO_LARGE = frozenset({
+    "corpus/quotecomparer.seb",
+    "fixtures/qc3/comparer.seb",
+    "fixtures/qc4/client.seb",
+    "fixtures/qc5/client.seb",
+})
+
 from seb.parser import parse_activity_file  # noqa: E402
 
 

@@ -28,7 +28,6 @@ from seb.configs import (
     make_var_map,
     one_step_safe,
     successors,
-    value_key,
 )
 from seb.manifest import load_manifest
 
@@ -89,14 +88,16 @@ def renamed(config: RunningConfiguration, rng: random.Random) -> RunningConfigur
                  inst.graph, inst.state)
         for inst in sorted(config.instances, key=lambda inst: rank[shape(inst)])
     )
-    queues = tuple(sorted(
-        ((rename(dest),
-          tuple(NewSession(rename(m.session)) if isinstance(m, NewSession) else m
-                for m in items))
-         for dest, items in config.queues),
-        key=lambda entry: value_key(entry[0]),
+    def renew(items):
+        return tuple(NewSession(rename(m.session)) if isinstance(m, NewSession) else m
+                     for m in items)
+
+    locations = tuple((name, renew(items)) for name, items in config.locations)
+    sessions = tuple(sorted(
+        (rename(SessionId(k)).number, renew(items)) for k, items in config.sessions
     ))
-    return RunningConfiguration(config.services, instances, queues, config.fresh_counter)
+    return RunningConfiguration(config.services, instances, locations, sessions,
+                                config.fresh_counter)
 
 
 def test_key_ignores_session_names_and_instance_order():
@@ -133,7 +134,7 @@ def test_key_forgets_finished_instances_and_dead_queues():
     key = canonical_key(final, shapes)
     assert key == (0, ())
     # A late message to a session that only finished instances hold.
-    late = replace(final, queues=((SessionId(0), (OpMessage("late", ()),)),))
+    late = replace(final, locations=(), sessions=((0, (OpMessage("late", ()),)),))
     assert canonical_key(late, shapes) == key
 
 
@@ -146,17 +147,17 @@ def test_pending_request_keeps_its_session_alive():
     sent = step_by(requested, "INV")
     assert [d.render() for d, _ in sent.queues] == ["pingloc", "#1"]
     shapes: dict = {}
-    dropped = replace(sent, queues=sent.queues[:1])
+    dropped = replace(sent, sessions=())
     assert canonical_key(sent, shapes) != canonical_key(dropped, shapes)
 
 
 def test_key_keeps_every_message_of_a_live_queue():
     [initial] = reachable("corpus/pingpong.cfg", 1)
     sent = step_by(step_by(initial, "SES1"), "INV")
-    (loc, requests), (session, [ping]) = sent.queues
+    [(session, [ping])] = sent.sessions
     shapes: dict = {}
     keys = {
-        canonical_key(replace(sent, queues=((loc, requests), (session, items))), shapes)
+        canonical_key(replace(sent, sessions=((session, items),)), shapes)
         for items in ((ping,), (ping, ping), (ping, OpMessage("pong", ())))
     }
     assert len(keys) == 3

@@ -19,14 +19,10 @@ from seb.control import renumber_bfs
 from seb.parser import parse_activity_file
 from seb.wellformed import validate_well_formed
 
-from conftest import ROOT
+from conftest import RAW_TOO_LARGE, ROOT
 from oracles import linked_flo, random_activity, seq_of_invs
 
 BUILDS = {"raw": build_raw_cg, "prio": build_prioritized_cg, "compress": build_compressed_cg}
-
-# Raw closures the other suites leave out for their size.
-RAW_TOO_LARGE = {"corpus/quotecomparer.seb", "fixtures/qc3/comparer.seb",
-                 "fixtures/qc4/client.seb", "fixtures/qc5/client.seb"}
 
 
 def assert_final_and_hash_consed(g):

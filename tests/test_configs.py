@@ -24,7 +24,6 @@ from seb.configs import (
     one_step_safe,
     simulate,
     successors,
-    var_map_get,
 )
 from seb.control import ControlGraph
 from seb.diagnostics import (
@@ -143,9 +142,9 @@ def test_session_initiation_then_spawn_then_send(ping_setup):
     [ses1] = successors(config)
     assert ses1.rule == "SES1"
     after_init = ses1.result
-    assert after_init.queue(ServiceLoc("svc")) == (NewSession(SessionId(1)),)
+    assert dict(after_init.queues).get(ServiceLoc("svc"), ()) == (NewSession(SessionId(1)),)
     assert after_init.bindings == ((SessionId(0), SessionId(1)),)
-    assert var_map_get(after_init.instances[0].var_map, "s") == SessionId(0)
+    assert dict(after_init.instances[0].var_map)["s"] == SessionId(0)
 
     rules = {step.rule: step for step in successors(after_init)}
     assert set(rules) == {"SES2", "INV"}
@@ -154,11 +153,11 @@ def test_session_initiation_then_spawn_then_send(ping_setup):
     assert len(after_spawn.instances) == 2
     spawned = after_spawn.instances[1]
     assert spawned.origin == "ping"
-    assert var_map_get(spawned.var_map, "s0") == SessionId(1)
-    assert after_spawn.queue(ServiceLoc("svc")) == ()
+    assert dict(spawned.var_map)["s0"] == SessionId(1)
+    assert dict(after_spawn.queues).get(ServiceLoc("svc"), ()) == ()
 
     after_send = next(s for s in successors(after_spawn) if s.rule == "INV").result
-    assert after_send.queue(SessionId(1)) == (OpMessage("ping", (Data("hi"),)),)
+    assert dict(after_send.queues).get(SessionId(1), ()) == (OpMessage("ping", (Data("hi"),)),)
 
 
 def test_partners_and_bindings_follow_the_fresh_counter(ping_setup):
@@ -173,6 +172,23 @@ def test_partners_and_bindings_follow_the_fresh_counter(ping_setup):
     assert all(b.number == a.number + 1 for a, b in config.bindings)
 
 
+def test_queues_list_locations_then_sessions_in_text_order(ping_setup):
+    svc, client = ping_setup
+    request = (NewSession(SessionId(3)),)
+    ping, pong = (OpMessage("ping", ()),), (OpMessage("pong", ()),)
+    config = replace(
+        make_initial_config([svc], client),
+        locations=(("svc", request),),
+        sessions=((2, ping), (10, pong)),
+        fresh_counter=12,
+    )
+    assert config.queues == (
+        (ServiceLoc("svc"), request),
+        (SessionId(10), pong),
+        (SessionId(2), ping),
+    )
+
+
 def test_reception_binds_parameters(ping_setup):
     svc, client = ping_setup
     config = make_initial_config([svc], client)
@@ -181,8 +197,8 @@ def test_reception_binds_parameters(ping_setup):
         step = next(s for s in successors(config) if s.rule == rule)
         config = step.result
     service_instance = config.instances[1]
-    assert var_map_get(service_instance.var_map, "x") == Data("hi")
-    assert config.queue(SessionId(1)) == ()
+    assert dict(service_instance.var_map)["x"] == Data("hi")
+    assert dict(config.queues).get(SessionId(1), ()) == ()
 
 
 def test_send_on_unbound_session_is_a_fault():
@@ -260,11 +276,12 @@ def test_unexpected_head_is_unsafe(ping_setup):
     for rule in ("SES1", "SES2"):
         config = next(s for s in successors(config) if s.rule == rule).result
     # sneak a message the service cannot receive into its root session queue
-    bad = config.queues + ((SessionId(1), (OpMessage("pang", (Data("x"),)),)),)
+    bad = config.sessions + ((1, (OpMessage("pang", (Data("x"),)),)),)
     config = type(config)(
         services=config.services,
         instances=config.instances,
-        queues=tuple(sorted(bad, key=lambda e: str(e[0]))),
+        locations=config.locations,
+        sessions=tuple(sorted(bad, key=lambda e: e[0])),
         fresh_counter=config.fresh_counter,
     )
     witness = one_step_safe(config)
@@ -495,7 +512,8 @@ def test_replace_computes_a_fresh_hash(ping_setup):
     fault = Diagnostic(BROKEN_BINDING, "made up")
     faulty = replace(config, fault=fault)
     rebuilt = type(config)(
-        config.services, config.instances, config.queues, config.fresh_counter, fault,
+        config.services, config.instances, config.locations, config.sessions,
+        config.fresh_counter, fault,
     )
     assert faulty == rebuilt and hash(faulty) == hash(rebuilt)
     assert faulty != config and hash(faulty) != hash(config)

@@ -17,12 +17,9 @@ from seb.transforms import build_stages
 from seb.variables import classify_occurrences, free_vars, free_vars_of_graph
 from seb.wellformed import validate_well_formed
 
-from conftest import ROOT
+from conftest import RAW_TOO_LARGE, ROOT
 from oracles import reference_free_vars_of_graph, small_random_activities
 
-# The raw closure of quotecomparer has 53,494 states and takes seconds to
-# build; its other stages are checked from the fused route.
-RAW_TOO_LARGE = {"quotecomparer.seb"}
 # Ten independent choices: the reference carries 2^10 bound sets.
 EXPONENTIAL = {"choices"}
 
@@ -45,8 +42,9 @@ def validating_activities():
 
 @pytest.mark.parametrize("path", validating_activities())
 def test_search_matches_reference_on_corpus_and_fixtures(path):
-    stages = stage_graphs(parse_activity_file(path), path.name not in RAW_TOO_LARGE)
-    assert len(stages) == 5 - (path.name in RAW_TOO_LARGE)
+    too_large = path.relative_to(ROOT).as_posix() in RAW_TOO_LARGE
+    stages = stage_graphs(parse_activity_file(path), not too_large)
+    assert len(stages) == 5 - too_large
     for name, g in stages.items():
         assert free_vars_of_graph(g) == reference_free_vars_of_graph(g), name
 

@@ -27,7 +27,6 @@ from seb.configs import (
     make_initial_config,
     one_step_safe,
     successors,
-    var_map_get,
 )
 from seb.control import SesInit
 from seb.diagnostics import BROKEN_BINDING, UNDEFINED_PAYLOAD
@@ -280,7 +279,7 @@ def races(loaded) -> bool:
     """
     for config in reached(loaded, 2000):
         ready = [
-            (idx, {var_map_get(inst.var_map, action.p) for action, _ in inst.edges.all})
+            (idx, {dict(inst.var_map).get(action.p) for action, _ in inst.edges.all})
             for idx, inst in enumerate(config.instances)
             if inst.edges.all and all(isinstance(a, SesInit) for a, _ in inst.edges.all)
         ]

@@ -11,7 +11,6 @@ from seb.syntax import (
     all_links,
     all_sources,
     all_targets,
-    at_path,
     pred_pairs,
     structure_key,
     subacts,
@@ -67,7 +66,7 @@ def test_pred_pairs_empty_for_atom():
 
 def test_path_resolution():
     act = parse_activity("(pic (on (rec s0 go ()) (seq (inv s a) (inv s b))))")
-    assert at_path(act, (1, 1)) == Inv("s", "b")
+    assert subacts(act)[(1, 1)] == Inv("s", "b")
 
 
 def test_link_unions():

@@ -25,7 +25,7 @@ import pytest
 
 from seb.cli import main
 from seb.diagnostics import CONTAINMENT_CROSS, CYCLE, DUP_LINK, UNSCOPED_LINK
-from seb.syntax import Flo, Nil, Pic, Rep, Seq, all_links, at_path, subacts, to_source
+from seb.syntax import Flo, Nil, Pic, Rep, Seq, all_links, subacts, to_source
 from seb.wellformed import validate_well_formed
 
 from conftest import ROOT
@@ -70,9 +70,10 @@ def mutated_activity(seed: int):
             while common < min(len(a), len(b)) and a[common] == b[common]:
                 common += 1
             scope = a[:common]
-            while scope and not isinstance(at_path(act, scope), Flo):
+            subs = subacts(act)
+            while scope and not isinstance(subs[scope], Flo):
                 scope = scope[:-1]
-            if isinstance(at_path(act, scope), Flo):
+            if isinstance(subs[scope], Flo):
                 act = _replace_at(act, scope, lambda n: dataclasses.replace(n, lnk=n.lnk | {name}))
     return act
 

@@ -2,7 +2,7 @@ import pytest
 
 from seb.diagnostics import KIND_CLASH
 from seb.parser import parse_activity, parse_activity_file
-from seb.syntax import Flo, LinkRef, contains_seq, pred_pairs
+from seb.syntax import Flo, LinkRef, Seq, pred_pairs, subacts
 from seb.wellformed import desugar_seq, validate_well_formed
 
 from conftest import corpus_activities
@@ -79,7 +79,7 @@ def test_desugar_removes_every_seq_and_preserves_validity():
         act = random_activity(seed, depth=4)
         assert validate_well_formed(act) == []
         out = desugar_seq(act)
-        assert not contains_seq(out)
+        assert not any(isinstance(s, Seq) for s in subacts(out).values())
         assert validate_well_formed(out) == []
 
 
