@@ -17,12 +17,13 @@ dataclass costs about three times as much to build.
 
 Exploration looks up, rather than recomputes, what each instance can do.
 Each control graph builds on first use, and shares with every instance
-that runs it, two tables that must not be mutated: its successor table
-(``ControlGraph.successor_table``), each state's sorted edges and what its
-receptions accept, and its slot table (``ControlGraph.slot_table``).  A
-var map is sorted by name, so each variable sits at a fixed position, its
-slot; an edge row lists the slots of its action's variables, and a step
-reads and binds them by position, without searching or sorting the map.
+that runs it, one table that must not be mutated
+(``ControlGraph.slot_table``).  A var map is sorted by name, so each
+variable sits at a fixed position, its slot.  A state's row holds its
+sorted edges, each with the slots of its action's variables, and its
+receptions, each with the slot of its session variable and the heads it
+accepts; a step reads and binds variables by position, without searching
+or sorting the map.
 Queues are kept by location name and by session number.
 ``explore_safety`` keys what it has visited by ``canonical_key``, which
 forgets finished instances, dead sessions, the order of the instances
@@ -248,8 +249,8 @@ class Instance:
     ``var_map`` holds every variable of the graph's actions (one missing
     from the map given is added undefined), and ``slots`` is the graph's
     slot table for its names, so a step reads and binds variables by
-    position.  ``edges`` is the current state's row of the graph's
-    successor table; ``_canon`` caches its part of ``canonical_key``.
+    position.  ``edges`` is the current state's row of that table;
+    ``_canon`` caches its part of ``canonical_key``.
     """
 
     origin: str  # service name, or "client"
@@ -271,7 +272,7 @@ class Instance:
         self.graph = graph
         self.state = state
         self.slots = slots
-        self.edges = graph.successor_table()[state]
+        self.edges = slots.rows[state]
         self._canon = None
 
 
@@ -405,11 +406,11 @@ def make_client(
         for var, value in var_map.items()
         if value is not None and var not in free
     ]
-    first = graph.successor_table()[graph.init].all
-    if not first:
+    client = Instance("client", make_var_map(var_map), graph, graph.init)
+    if not client.edges.all:
         problems.append(Diagnostic(CLIENT_SHAPE, "the client activity does nothing"))
     locations = {svc.location for svc in services}
-    for action, _ in first:
+    for action, _, _ in client.edges.all:
         if not isinstance(action, SesInit):
             problems.append(
                 Diagnostic(
@@ -437,7 +438,7 @@ def make_client(
             )
     if problems:
         raise ConfigurationError(sort_diagnostics(problems))
-    return Instance("client", make_var_map(var_map), graph, graph.init)
+    return client
 
 
 def make_initial_config(
@@ -510,7 +511,7 @@ def successors(
     ``actor`` is an instance's index or a service's name; None stands for
     every actor.  The steps come in a fixed order: SES1 over the
     instances, SES2 over the services, then INV and REC over the
-    instances, each instance's edges in successor-table order.  An actor's
+    instances, each instance's edges in the order of its row.  An actor's
     steps are those of the full list that it takes, in the same order.
     """
     if config.fault is not None:
@@ -540,7 +541,7 @@ def successors(
             continue  # an instance at a sink of its graph takes no step
         who = (inst.origin, idx)
         var_map = inst.var_map
-        for (action, to), slots in zip(inst.edges.all, inst.slots.edges[inst.state]):
+        for action, to, slots in inst.edges.all:
             if isinstance(action, SesInit):
                 # SES1: bind two fresh sessions and request a service instance.
                 target = var_map[slots[1]][1]
@@ -584,8 +585,7 @@ def successors(
                 own = var_map[slots[0]][1]
                 queue = session_queue.get(own.number, ()) if isinstance(own, SessionId) else ()
                 head = queue[0] if queue else None
-                if not (isinstance(head, OpMessage) and head.op == action.op
-                        and len(head.payload) == len(action.params)):
+                if head is None or head.op != action.op or len(head.payload) != len(action.params):
                     continue
                 received = _bind(var_map, slots[1:], head.payload)
                 queued = _queue_set(sessions, own.number, queue[1:])
@@ -596,7 +596,7 @@ def successors(
     ses2: list[ConfigStep] = []
     for svc in spawners:
         queue = service_queue.get(svc.location.name, ())
-        if not queue or not isinstance(queue[0], NewSession):
+        if not queue:
             continue
         head = queue[0]
         root = bisect_left(svc.var_map, ROOT_SESSION, key=_FIRST)
@@ -643,12 +643,12 @@ def one_step_safe(config: RunningConfiguration) -> UnsafeWitness | None:
     operation message, the instance is open for reception on that session,
     yet no outgoing reception matches the head's operation and arity.
     """
-    heads = {k: items[0] for k, items in config.sessions if isinstance(items[0], OpMessage)}
+    heads = {k: items[0] for k, items in config.sessions}
     if not heads:
         return None
     for idx, inst in enumerate(config.instances):
-        for var, accepted in inst.edges.receptions:
-            value = inst.var_map[inst.slots.index[var]][1]
+        for var, slot, accepted in inst.edges.receptions:
+            value = inst.var_map[slot][1]
             head = heads.get(value.number) if isinstance(value, SessionId) else None
             if head is not None and (head.op, len(head.payload)) not in accepted:
                 return UnsafeWitness(
@@ -798,16 +798,14 @@ def _ample(config: RunningConfiguration) -> int | str | None:
         if sender is None and isinstance(first, Send) and isinstance(last, Send):
             sender = idx
         elif receiver is None and isinstance(first, Recv) and first.s == last.s:
-            [(var, accepted)] = inst.edges.receptions
-            own = inst.var_map[inst.slots.index[var]][1]
+            [(_, slot, accepted)] = inst.edges.receptions
+            own = inst.var_map[slot][1]
             queue = session_queue.get(own.number) if isinstance(own, SessionId) else None
-            head = queue[0] if queue else None
-            if isinstance(head, OpMessage) and (head.op, len(head.payload)) in accepted:
+            if queue and (queue[0].op, len(queue[0].payload)) in accepted:
                 receiver = idx
     service_queue = dict(config.locations)
     for svc in config.services:
-        queue = service_queue.get(svc.location.name)
-        if queue and isinstance(queue[0], NewSession):
+        if svc.location.name in service_queue:
             return svc.name
     return receiver if sender is None else sender
 

@@ -236,37 +236,28 @@ Payload = tuple[LinkMap, Activity]
 class StateEdges(NamedTuple):
     """The outgoing edges of one state, sorted by ``(action.sort_key(), to)``.
 
-    ``all`` holds every edge.  ``receptions`` holds, for each session
-    variable the state receives on, in name order, the variable and the
-    ``(operation, arity)`` pairs its receptions accept.
+    ``all`` holds every edge as ``(action, to, slots)``, ``slots`` being
+    the slots of the action's variables in ``occurrences`` order: the
+    session first.  ``receptions`` holds ``(variable, slot, accepted)`` for
+    each session variable the state receives on, in name order:
+    ``accepted`` holds the ``(operation, arity)`` pairs its receptions
+    accept.
     """
 
-    all: tuple[tuple[Action, int], ...]
-    receptions: tuple[tuple[str, frozenset[tuple[str, int]]], ...]
-
-
-def _state_edges(out: list[tuple[Action, int]]) -> StateEdges:
-    edges = tuple(sorted(out, key=lambda e: (e[0].sort_key(), e[1])))
-    recvs = [a for a, _ in edges if isinstance(a, Recv)]  # sorted by session variable
-    receptions = tuple(
-        (var, frozenset((a.op, len(a.params)) for a in group))
-        for var, group in groupby(recvs, key=lambda a: a.s)
-    )
-    return StateEdges(edges, receptions)
+    all: tuple[tuple[Action, int, tuple[int, ...]], ...]
+    receptions: tuple[tuple[str, int, frozenset[tuple[str, int]]], ...]
 
 
 class SlotTable(NamedTuple):
-    """Where the variables of one graph's var maps over one domain sit.
+    """One graph's edges, over var maps of one domain.
 
     A var map is a tuple of ``(name, value)`` pairs sorted by name, so a
     variable's slot, ``index[name]``, is its position in the sorted
-    domain.  ``edges[state]`` holds, for each edge of the successor
-    table's row, the slots of its action's variables in ``occurrences``
-    order: the session first.
+    domain.  ``rows[state]`` is the state's ``StateEdges``.
     """
 
     index: dict[str, int]
-    edges: tuple[tuple[tuple[int, ...], ...], ...]
+    rows: tuple[StateEdges, ...]
 
 
 @dataclass(frozen=True)
@@ -293,34 +284,30 @@ class ControlGraph:
     def states(self) -> range:
         return range(self.num_states)
 
-    def successor_table(self) -> tuple[StateEdges, ...]:
-        """Per state, its sorted outgoing edges and what its receptions accept.
-
-        Built from ``outgoing()`` on the first call and cached on the graph
-        (graphs are immutable), so later calls cost one lookup.  The table
-        is shared by every caller and must not be mutated.
-        """
-        table = self.__dict__.get("_succ")
-        if table is None:
-            table = tuple(_state_edges(out) for out in self.outgoing())
-            object.__setattr__(self, "_succ", table)
-        return table
-
     def slot_table(self, names: tuple[str, ...]) -> SlotTable:
-        """The slot table of var maps over ``names`` and the actions' variables.
+        """Each state's edges over var maps of ``names`` and the actions' variables.
 
-        Built on the first call for ``names`` and cached on the graph, like
-        the successor table, which it follows row by row.
+        Built from ``outgoing()`` on the first call for ``names`` and cached
+        on the graph (graphs are immutable), so later calls cost one
+        lookup.  The table is shared by every caller and must not be
+        mutated.
         """
         tables = self.__dict__.setdefault("_slots", {})
         if names not in tables:
-            rows = [[occurrences(a) for a, _ in r.all] for r in self.successor_table()]
-            used = {var for row in rows for occs in row for var, _, _ in occs}
+            out = [sorted(row, key=lambda e: (e[0].sort_key(), e[1])) for row in self.outgoing()]
+            used = {v for row in out for a, _ in row for v, _, _ in occurrences(a)}
             index = {name: i for i, name in enumerate(sorted(used.union(names)))}
-            edges = tuple(
-                tuple(tuple(index[var] for var, _, _ in occs) for occs in row) for row in rows
-            )
-            tables[names] = SlotTable(index, edges)
+            rows = []
+            for row in out:
+                recvs = [a for a, _ in row if isinstance(a, Recv)]  # sorted by session variable
+                rows.append(StateEdges(
+                    tuple((a, to, tuple(index[v] for v, _, _ in occurrences(a))) for a, to in row),
+                    tuple(
+                        (s, index[s], frozenset((a.op, len(a.params)) for a in group))
+                        for s, group in groupby(recvs, key=lambda a: a.s)
+                    ),
+                ))
+            tables[names] = SlotTable(index, tuple(rows))
         return tables[names]
 
     def outgoing(self) -> list[list[tuple[Action, int]]]:

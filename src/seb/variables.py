@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .control import ControlGraph, Recv, VarKind, action_of, occurrences
+from .control import ControlGraph, VarKind, action_of, occurrences
 from .diagnostics import (
     DOMAIN_MISMATCH,
     Diagnostic,
@@ -126,10 +126,7 @@ def open_for_reception(g: ControlGraph, state: int, s: str) -> bool:
     """True when the state has an outgoing reception on session variable s."""
     if state not in g.states:
         raise ValueError(f"state {state} outside the graph")
-    return any(
-        frm == state and isinstance(action, Recv) and action.s == s
-        for frm, action, _ in g.transitions
-    )
+    return any(var == s for var, _, _ in g.slot_table(()).rows[state].receptions)
 
 
 # --------------------------------------------------------------------------

@@ -785,9 +785,9 @@ def _commutes(inst) -> bool:
     edges = inst.edges.all
     first = edges[0][0]
     if isinstance(first, (SesInit, Send)):
-        return all(isinstance(action, type(first)) for action, _ in edges)
+        return all(isinstance(action, type(first)) for action, _, _ in edges)
     return isinstance(first, Recv) and all(
-        isinstance(action, Recv) and action.s == first.s for action, _ in edges
+        isinstance(action, Recv) and action.s == first.s for action, _, _ in edges
     )
 
 

@@ -25,7 +25,7 @@ from seb.configs import (
     simulate,
     successors,
 )
-from seb.control import ControlGraph
+from seb.control import ControlGraph, Recv, occurrences
 from seb.diagnostics import (
     BROKEN_BINDING,
     CLIENT_SHAPE,
@@ -36,7 +36,7 @@ from seb.diagnostics import (
     Diagnostic,
 )
 from seb.manifest import load_manifest
-from seb.parser import parse_activity
+from seb.parser import InputError, parse_activity
 from seb.transforms import build_stages
 from seb.variables import classify_occurrences, free_vars
 
@@ -399,14 +399,27 @@ def collect_reachable(services, client, bound=500):
 
 
 def test_queue_sort_discipline(ping_setup):
+    """Location queues hold session requests only, session queues messages only.
+
+    So a queue's head is of the kind its reader expects, without checking.
+    The manifests add spawns, several services and an unsafe run.
+    """
     svc, client = ping_setup
-    for config in collect_reachable([svc], client):
-        for dest, items in config.queues:
-            for message in items:
-                if isinstance(dest, ServiceLoc):
-                    assert isinstance(message, NewSession)
-                else:
-                    assert isinstance(message, OpMessage)
+    setups = [([svc], client)]
+    for manifest in ("fixtures/qc3/deployed.cfg", "fixtures/mismatch.cfg"):
+        loaded = load_manifest(ROOT / manifest)
+        setups.append((list(loaded.services), loaded.client))
+    for services, client in setups:
+        kinds = set()
+        for config in collect_reachable(services, client):
+            for dest, items in config.queues:
+                for message in items:
+                    if isinstance(dest, ServiceLoc):
+                        assert isinstance(message, NewSession)
+                    else:
+                        assert isinstance(message, OpMessage)
+                    kinds.add(type(message))
+        assert kinds == {NewSession, OpMessage}
 
 
 def session_ids(config):
@@ -506,6 +519,43 @@ def test_exploration_builds_each_successor_table_once(monkeypatch):
     assert set(built) <= graphs
 
 
+def manifest_instances():
+    """The client and a fresh instance of each service of every manifest that loads."""
+    for path in sorted(ROOT.glob("corpus/*.cfg")) + sorted(ROOT.glob("fixtures/**/*.cfg")):
+        try:
+            loaded = load_manifest(path)
+        except InputError:
+            continue  # a fixture of a rejected manifest
+        yield loaded.client
+        for svc in loaded.services:
+            yield Instance(svc.name, svc.var_map, svc.graph, svc.graph.init)
+
+
+def test_slot_table_rows_hold_edges_slots_and_receptions():
+    states = receptions = 0
+    for inst in manifest_instances():
+        graph, table = inst.graph, inst.slots
+        assert list(table.index) == [name for name, _ in inst.var_map]
+        assert list(table.index.values()) == list(range(len(inst.var_map)))
+        assert len(table.rows) == graph.num_states
+        for state, out in enumerate(graph.outgoing()):
+            row = table.rows[state]
+            edges = sorted(out, key=lambda e: (e[0].sort_key(), e[1]))
+            assert [(action, to) for action, to, _ in row.all] == edges
+            for action, _, slots in row.all:
+                assert slots == tuple(table.index[v] for v, _, _ in occurrences(action))
+            accepted: dict[str, set] = {}
+            for action, _ in edges:
+                if isinstance(action, Recv):
+                    accepted.setdefault(action.s, set()).add((action.op, len(action.params)))
+            assert row.receptions == tuple(
+                (var, table.index[var], frozenset(accepted[var])) for var in sorted(accepted)
+            )
+            states += 1
+            receptions += len(row.receptions)
+    assert states > 100 and receptions > 50, (states, receptions)
+
+
 def test_replace_computes_a_fresh_hash(ping_setup):
     svc, client = ping_setup
     config = make_initial_config([svc], client)
@@ -519,11 +569,11 @@ def test_replace_computes_a_fresh_hash(ping_setup):
     assert faulty != config and hash(faulty) != hash(config)
 
     inst = config.instances[0]
-    [(_, to)] = inst.edges.all
+    [(_, to, _)] = inst.edges.all
     moved = replace(inst, state=to)
     assert hash(moved) == hash(Instance(inst.origin, inst.var_map, inst.graph, to))
     assert hash(moved) != hash(inst)
-    assert moved.edges == inst.graph.successor_table()[to]
+    assert moved.edges == inst.slots.rows[to]
 
 
 def test_interleavings_reaching_one_configuration_hash_equal():

@@ -279,9 +279,9 @@ def races(loaded) -> bool:
     """
     for config in reached(loaded, 2000):
         ready = [
-            (idx, {dict(inst.var_map).get(action.p) for action, _ in inst.edges.all})
+            (idx, {dict(inst.var_map).get(action.p) for action, _, _ in inst.edges.all})
             for idx, inst in enumerate(config.instances)
-            if inst.edges.all and all(isinstance(a, SesInit) for a, _ in inst.edges.all)
+            if inst.edges.all and all(isinstance(a, SesInit) for a, _, _ in inst.edges.all)
         ]
         if len(ready) > 1 and _ample(config) == ready[0][0] and any(
             ready[0][1] & targets for _, targets in ready[1:]

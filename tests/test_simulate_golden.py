@@ -4,7 +4,9 @@
 bindings.  Each digest is the SHA-256 of stdout for ``--steps 80`` at one
 seed, with the exit code.  On ``looping.cfg`` the final configuration
 holds 14 pairs, so the digests also pin their order: by the first id's
-name, so ``#10 ~ #11`` prints before ``#2 ~ #3``.
+name, so ``#10 ~ #11`` prints before ``#2 ~ #3``.  On the deployed
+quotecomparer, two searches spawn instances of three services, so the
+digests pin the order in which those spawns and their replies race.
 """
 
 import hashlib
@@ -21,6 +23,18 @@ MISMATCH_A = ("cef1c0469772aa36bf0a91877b93897e055c6587d405de29dec2896cf04417ed"
 MISMATCH_B = ("da49b4ea5aba91f5c620d5a904b69252f61c8f6c51e81fd438fa81f23c0e6cd3", 0)
 
 SIMULATE_DIGESTS = {
+    "bench/inputs/qc-deployed/deployed.cfg": [
+        ("c84e188ba41a31bc23aa20834fa53bf9eaa06d66f56bad5e283f9087f129248b", 0),
+        ("0baf87fabc05d72844bbe4c2c3b68c77a9b233a2509182c5d2e47f8bc1093645", 0),
+        ("313adedaccb47f4ff66ac3f547c0381574979e9d357fcee63ec375efc03495e1", 0),
+        ("b1599f9515789ad3d51b60334c2a73ef1f827fea3cbb7c8b8061acbfacac17d2", 0),
+        ("7a9b1d562ad9687765dd98567a2189acffdd9f5e5616c93aa3c455e7fe50729e", 0),
+        ("13c69933cd910fee5397646a2db18934ceb3e3d4c64b9758b0d5df534f96c93b", 0),
+        ("e20f11182066b351ddfd4e339a6d154b5e4fda98cd0a6aa1d9b922e739a0066f", 0),
+        ("e13c993507009ad509be85a4258a019b9c5c2fad95568b85540c0cb44fe26a2e", 0),
+        ("8a25bd246b40b89998afe4db34bf0b04ab16575865522bf028ab2f0ac0ce7b48", 0),
+        ("971ecc84ff0148d1ba58c21c54c41d679af67c805fc9342954f10f144ae0bd15", 0),
+    ],
     "corpus/pingpong.cfg": [
         PINGPONG_A, PINGPONG_B, PINGPONG_B, PINGPONG_B, PINGPONG_A,
         PINGPONG_A, PINGPONG_A, PINGPONG_B, PINGPONG_A, PINGPONG_A,
