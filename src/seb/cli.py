@@ -13,6 +13,7 @@ exception, reported on one stderr line without a traceback).
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -215,6 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # A command's values hold no reference cycles whose count grows with the
+    # states it builds, so the cyclic collector would only rescan live
+    # objects; it is paused for the command and left as it was found.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -229,6 +235,9 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ from .control import (
     ControlGraph,
     LinkMap,
     TAU,
+    Tau,
     action_of,
     eval_join,
     find_cycle,
@@ -358,9 +359,12 @@ def find_tau_cycle(g: ControlGraph) -> list[int] | None:
     """A cycle made only of silent transitions, or None."""
     tau_out: dict[int, list[int]] = {}
     for frm, action, to in g.transitions:
-        if action == TAU:
+        if type(action) is Tau:
             tau_out.setdefault(frm, []).append(to)
     return find_cycle(sorted(tau_out), tau_out)
+
+
+_NO_TARGETS: frozenset[int] = frozenset()
 
 
 def find_confluence_violation(g: ControlGraph):
@@ -369,20 +373,40 @@ def find_confluence_violation(g: ControlGraph):
     For every pair of distinct transitions g -τ-> g1 and g -σ-> g2 out of
     the same state there must be a state g' with g1 -σ-> g' and g2 -τ-> g'.
     Returns (state, g1, action, g2) for the first failure, else None.
+
+    The pair is joined when g1's σ-successors meet g2's silent successors.
+    Both tables are filled on first use: a state's silent successors as a
+    set (one shared empty set for the states without any), and a silent
+    target's successors grouped by action, kept only until its last silent
+    predecessor is scanned, so large graphs do not hold a group per state.
     """
     out = g.outgoing()
-    edge_sets = [frozenset(edges) for edges in out]
+    unscanned = [0] * g.num_states  # silent predecessors not yet scanned
+    for _, action, to in g.transitions:
+        if type(action) is Tau:
+            unscanned[to] += 1
+    silent: list[frozenset[int] | None] = [None] * g.num_states
+    after: dict[int, dict[Action, list[int]]] = {}
     for state in g.states:
-        for g1 in [to for action, to in out[state] if action == TAU]:
-            for action, g2 in out[state]:
-                if action == TAU and g2 == g1:
+        edges = out[state]
+        for g1 in [to for action, to in edges if type(action) is Tau]:
+            unscanned[g1] -= 1
+            moves = after.get(g1) if unscanned[g1] else after.pop(g1, None)
+            if moves is None:
+                moves = {}
+                for action, target in out[g1]:
+                    moves.setdefault(action, []).append(target)
+                if unscanned[g1]:
+                    after[g1] = moves
+            for action, g2 in edges:
+                if g2 == g1 and type(action) is Tau:
                     continue
-                joined = any(
-                    (TAU, target) in edge_sets[g2]
-                    for a, target in out[g1]
-                    if a == action
-                )
-                if not joined:
+                closing = silent[g2]
+                if closing is None:
+                    closing = silent[g2] = (
+                        frozenset(to for a, to in out[g2] if type(a) is Tau) or _NO_TARGETS
+                    )
+                if closing.isdisjoint(moves.get(action, ())):
                     return (state, g1, action, g2)
     return None
 

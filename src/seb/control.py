@@ -116,22 +116,24 @@ def eval_join(c: LinkMap, expr: JoinExpr, targets) -> LinkValue:
     for link in targets:
         if codes[index[link]] == 0:
             return None
+    return _ev(expr, codes, index)
 
-    def ev(e: JoinExpr) -> bool:
-        match e:
-            case Lit(value):
-                return value
-            case LinkRef(name):
-                return codes[index[name]] == 2
-            case And(left, right):
-                return ev(left) and ev(right)
-            case Or(left, right):
-                return ev(left) or ev(right)
-            case Not(operand):
-                return not ev(operand)
-        raise TypeError(f"not a join expression: {e!r}")
 
-    return ev(expr)
+def _ev(e: JoinExpr, codes, index) -> bool:
+    """``e``'s value over defined links; a module-level recursion, unlike a
+    self-naming closure, leaves no reference cycle behind per call."""
+    match e:
+        case Lit(value):
+            return value
+        case LinkRef(name):
+            return codes[index[name]] == 2
+        case And(left, right):
+            return _ev(left, codes, index) and _ev(right, codes, index)
+        case Or(left, right):
+            return _ev(left, codes, index) or _ev(right, codes, index)
+        case Not(operand):
+            return not _ev(operand, codes, index)
+    raise TypeError(f"not a join expression: {e!r}")
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .control import (
     Recv,
     Send,
     SesInit,
-    TAU,
     Tau,
     renumber_bfs,
 )
@@ -36,7 +35,7 @@ class TransformPreconditionError(Exception):
 
 
 def _is_tau(action: Action) -> bool:
-    return action == TAU
+    return type(action) is Tau
 
 
 def _keep_highest(g: ControlGraph, rank) -> ControlGraph:
@@ -110,7 +109,7 @@ def tau_compress(g: ControlGraph) -> ControlGraph:
     def endpoint(state: int) -> int:
         chased = []
         while state not in ends:
-            taus = [to for action, to in out[state] if action == TAU]
+            taus = [to for action, to in out[state] if type(action) is Tau]
             if not taus:
                 ends[state] = state
                 break
@@ -123,7 +122,7 @@ def tau_compress(g: ControlGraph) -> ControlGraph:
     new_init = endpoint(g.init)
     transitions = []
     for frm, action, to in g.transitions:
-        if action == TAU:
+        if type(action) is Tau:
             continue
         if endpoint(frm) == frm:
             transitions.append((frm, action, endpoint(to)))
@@ -170,7 +169,7 @@ def refine_partition(g: ControlGraph) -> list[int]:
 
 def minimize(g: ControlGraph) -> ControlGraph:
     """Quotient by strong bisimulation; requires a silent-free graph."""
-    if any(action == TAU for _, action, _ in g.transitions):
+    if any(type(action) is Tau for _, action, _ in g.transitions):
         raise TransformPreconditionError(
             "minimize expects a graph without silent transitions"
         )
@@ -254,7 +253,7 @@ def check_stage_invariants(
     reports.append(StageReport("prio", tuple(problems)))
 
     problems = []
-    if any(a == TAU for _, a, _ in stages["compress"].transitions):
+    if any(type(a) is Tau for _, a, _ in stages["compress"].transitions):
         problems.append("silent transition survived compression")
     reports.append(StageReport("compress", tuple(problems)))
 

@@ -597,6 +597,30 @@ def recursive_tau_cycle(g: ControlGraph) -> list[int] | None:
     return None
 
 
+def reference_confluence_violation(g: ControlGraph):
+    """The first (state, g1, action, g2) whose silent step does not commute.
+
+    The scan over edge sets that ``find_confluence_violation`` replaced:
+    each pair of out-edges of a state, joined when some σ-successor of g1
+    is a silent successor of g2.
+    """
+    out = g.outgoing()
+    edge_sets = [frozenset(edges) for edges in out]
+    for state in g.states:
+        for g1 in [to for action, to in out[state] if action == TAU]:
+            for action, g2 in out[state]:
+                if action == TAU and g2 == g1:
+                    continue
+                joined = any(
+                    (TAU, target) in edge_sets[g2]
+                    for a, target in out[g1]
+                    if a == action
+                )
+                if not joined:
+                    return (state, g1, action, g2)
+    return None
+
+
 # --------------------------------------------------------------------------
 # Wide inputs: many siblings, long link chains and long silent paths
 
