@@ -5,8 +5,8 @@ Subcommands: ``validate`` (well-formedness and variable reports),
 interaction-safety exploration) and ``simulate`` (seeded random runs).
 
 Exit codes: 0 success/verified, 1 diagnostics reported or unsafe,
-2 input errors (syntax, I/O, manifest), 3 state cap exceeded,
-4 exploration exhausted its limits, 5 internal error (any other
+2 input errors (syntax, I/O, manifest), 3 state cap exceeded or out of
+memory, 4 exploration exhausted its limits, 5 internal error (any other
 exception, reported on one stderr line without a traceback).
 """
 
@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from pathlib import Path
 
-from .compiler import StateCapExceeded
+from .compiler import DEFAULT_STATE_CAP, StateCapExceeded
 from .configs import Exhausted, Unsafe, Verified, explore_safety, simulate
 from .export import to_aut, to_dot
 from .manifest import load_manifest
@@ -32,6 +33,7 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_EXHAUSTED = 4
 EXIT_INTERNAL = 5
+_OUT_OF_MEMORY = b"error: out of memory\n"  # made before any work, which may use up memory
 
 
 def _int_at_least(low: int):
@@ -193,9 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-states",
         type=_int_at_least(1),
-        default=None,
+        default=DEFAULT_STATE_CAP,
         help="safety cap on the states the closure explores for the "
-        "requested stage (default 1000000)",
+        "requested stage (default %(default)s)",
     )
     p.set_defaults(func=cmd_compile)
 
@@ -231,6 +233,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except StateCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError as exc:
+        exc.__traceback__ = None  # frees the work's frames and what they hold
+        os.write(2, _OUT_OF_MEMORY)
         return EXIT_CAP
     except Exception as exc:
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

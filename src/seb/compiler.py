@@ -237,17 +237,14 @@ def _closure(act: Activity, max_states: int, stage: str) -> ControlGraph:
     b = _Build(initial_link_map(root))
     ends: dict[State, State] = {}
 
-    def order(state: State) -> tuple:  # the payload's state_key, a frame less deep
-        return (b.maps[state[0]].sort_key(), structure_key(b.nodes[state[1]]))
-
     def normal_form(state: State) -> State:
-        """Where a state's silent steps lead, chasing the least successor.
+        """Where a state's silent steps lead, chasing the first one derived.
 
         Silent steps are confluent and terminate, so every silent path
-        from a state ends in the same state; taking the successor with the
-        least ``state_key`` fixes the states passed through.  ``ends`` maps
-        each of them to that endpoint; the cap counts all of them, so a
-        silent loop stops at the cap instead of spinning.
+        from a state ends in the same state (Newman's lemma), whichever
+        step is taken.  ``ends`` maps each state passed through to that
+        endpoint; the cap counts all of them, so a silent loop stops at
+        the cap instead of spinning.
         """
         if stage != "compress":
             return state
@@ -255,12 +252,12 @@ def _closure(act: Activity, max_states: int, stage: str) -> ControlGraph:
         while state not in ends:
             if len(ends) + len(path) >= max_states:
                 raise StateCapExceeded(max_states)
-            silent = [step[1:] for step in _derive(b, *state) if step[0] is TAU]
-            if not silent:
+            silent = next((step[1:] for step in _derive(b, *state) if step[0] is TAU), None)
+            if silent is None:
                 ends[state] = state
                 break
             path.append(state)
-            state = min(silent, key=order) if len(silent) > 1 else silent[0]
+            state = silent
         ends.update(dict.fromkeys(path, ends[state]))
         return ends[state]
 
@@ -269,13 +266,15 @@ def _closure(act: Activity, max_states: int, stage: str) -> ControlGraph:
     transitions: list[tuple[int, Action, int]] = []
     for sid, state in enumerate(states):  # the queue: found states are appended
         steps = _derive(b, *state)
-        if stage != "raw":
+        if stage == "prio":  # a compressing closure's states have no silent step
             steps = [s for s in steps if s[0] is TAU] or steps
         edges = []  # a loop, not a comprehension: one frame less above normal_form
         for step in steps:
             edges.append((step[0].sort_key(), step[0], normal_form(step[1:])))
-        if len(edges) > 1:
-            edges.sort(key=lambda e: (e[0], order(e[2])))
+        if len(edges) > 1:  # by action, then by the successor's state_key
+            edges.sort(key=lambda e: (
+                e[0], b.maps[e[2][0]].sort_key(), structure_key(b.nodes[e[2][1]])
+            ))
         for _, action, succ in edges:
             if succ not in index:
                 if len(states) >= max_states:
@@ -313,10 +312,10 @@ def build_prioritized_cg(act: Activity, max_states: int = DEFAULT_STATE_CAP) -> 
 def build_compressed_cg(act: Activity, max_states: int = DEFAULT_STATE_CAP) -> ControlGraph:
     """Closure that follows one silent step per state.
 
-    The start state and every successor are chased along the silent
-    step to the successor with the least ``state_key`` until a state
-    without one; only those states are indexed and their observable
-    steps expanded.  Gives the compressed stage: it equals
+    The start state and every successor are chased along their first
+    silent step until a state without one; only those states are indexed
+    and their observable steps expanded, in the order of the least
+    ``state_key``.  Gives the compressed stage: it equals
     ``tau_compress`` of the prioritized graph (asserted in the tests)
     without building any silent interleaving.
     ``max_states`` counts every state passed through, chased or indexed.
@@ -326,29 +325,29 @@ def build_compressed_cg(act: Activity, max_states: int = DEFAULT_STATE_CAP) -> C
 
 def state_upper_bound(act: Activity) -> int:
     """Structural bound on the raw state count, on the desugared form."""
+    return _upper_bound(desugar_seq(act))
 
-    def ub(node: Activity) -> int:
-        match node:
-            case Nil():
-                return 1
-            case Ses() | Inv() | Rec():
-                return 2
-            case Flo(children):
-                product = 1
-                for child in children:
-                    product *= ub(child) + 1
-                return product + 1
-            case Pic(branches):
-                return sum(ub(cont) + 2 for _, cont in branches) + 1
-            case Rep(do_pic, until_pic):
-                return ub(do_pic) + ub(until_pic) + 1
-            case Seq():
-                raise AssertionError("unreachable: desugared first")
-            case Unf():
-                raise ValueError("no structural bound for running unfoldings")
-        raise TypeError(f"not an activity: {node!r}")
 
-    return ub(desugar_seq(act))
+def _upper_bound(node: Activity) -> int:
+    match node:
+        case Nil():
+            return 1
+        case Ses() | Inv() | Rec():
+            return 2
+        case Flo(children):
+            product = 1
+            for child in children:
+                product *= _upper_bound(child) + 1
+            return product + 1
+        case Pic(branches):
+            return sum(_upper_bound(cont) + 2 for _, cont in branches) + 1
+        case Rep(do_pic, until_pic):
+            return _upper_bound(do_pic) + _upper_bound(until_pic) + 1
+        case Seq():
+            raise AssertionError("unreachable: desugared first")
+        case Unf():
+            raise ValueError("no structural bound for running unfoldings")
+    raise TypeError(f"not an activity: {node!r}")
 
 
 # --------------------------------------------------------------------------
@@ -362,6 +361,12 @@ def find_tau_cycle(g: ControlGraph) -> list[int] | None:
         if type(action) is Tau:
             tau_out.setdefault(frm, []).append(to)
     return find_cycle(sorted(tau_out), tau_out)
+
+
+def silent_cycle_problem(g: ControlGraph) -> str | None:
+    """A silent cycle of ``g`` as a message, or None."""
+    cycle = find_tau_cycle(g)
+    return None if cycle is None else f"silent cycle through states {cycle}"
 
 
 _NO_TARGETS: frozenset[int] = frozenset()
@@ -411,6 +416,16 @@ def find_confluence_violation(g: ControlGraph):
     return None
 
 
+def confluence_problem(g: ControlGraph) -> str | None:
+    """The first silent step of ``g`` that does not commute, as a message, or None."""
+    violation = find_confluence_violation(g)
+    if violation is None:
+        return None
+    state, g1, action, g2 = violation
+    return (f"silent step at state {state} (to {g1}) does not commute with "
+            f"{action.render()} (to {g2})")
+
+
 def find_sink_shape_violation(g: ControlGraph):
     """Sinks must hold a nil residual and every state must reach a sink."""
     if g.payloads is not None:
@@ -440,16 +455,7 @@ def check_raw_properties(act: Activity, g: ControlGraph) -> list[str]:
     bound = state_upper_bound(act)
     if g.num_states > bound:
         problems.append(f"state count {g.num_states} exceeds structural bound {bound}")
-    cycle = find_tau_cycle(g)
-    if cycle is not None:
-        problems.append(f"silent cycle through states {cycle}")
-    violation = find_confluence_violation(g)
-    if violation is not None:
-        state, g1, action, g2 = violation
-        problems.append(
-            f"silent step at state {state} (to {g1}) does not commute with "
-            f"{action.render()} (to {g2})"
-        )
+    problems += filter(None, (silent_cycle_problem(g), confluence_problem(g)))
     shape = find_sink_shape_violation(g)
     if shape is not None:
         problems.append(f"{shape[0]}: {shape[1]}")

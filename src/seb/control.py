@@ -50,10 +50,6 @@ class LinkMap:
     index: dict[str, int] = field(compare=False, repr=False)
 
     @classmethod
-    def fresh(cls, links) -> "LinkMap":
-        return cls.of(dict.fromkeys(links))
-
-    @classmethod
     def of(cls, mapping: dict[str, LinkValue]) -> "LinkMap":
         names = tuple(sorted(mapping))
         codes = tuple(_VALUES.index(mapping[name]) for name in names)
@@ -88,7 +84,7 @@ class LinkMap:
 
 def initial_link_map(act: Activity) -> LinkMap:
     """Map over every link occurring in the tree, all undefined."""
-    return LinkMap.fresh(all_links(act))
+    return LinkMap.of(dict.fromkeys(all_links(act)))
 
 
 def _join_links_cached(expr: JoinExpr) -> frozenset[str]:

@@ -106,35 +106,26 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
 
 def read_forms(text: str) -> list[Node]:
     """Read every top-level form in the text."""
-    tokens = _tokenize(text)
-    pos = 0
-
-    def read(depth: int) -> Node:
-        nonlocal pos
-        tok, line, col = tokens[pos]
-        pos += 1
+    forms: list[Node] = []
+    open_lists: list[tuple[list[Node], int, int]] = []  # items, line, col
+    for tok, line, col in _tokenize(text):
         if tok == "(":
-            if depth > MAX_NESTING:
+            if len(open_lists) >= MAX_NESTING:
                 raise SebSyntaxError(f"nesting deeper than {MAX_NESTING} levels", line, col)
-            items = []
-            while True:
-                if pos >= len(tokens):
-                    raise SebSyntaxError("unclosed '('", line, col)
-                if tokens[pos][0] == ")":
-                    pos += 1
-                    return SList(tuple(items), line, col)
-                items.append(read(depth + 1))
+            open_lists.append(([], line, col))
+            continue
         if tok == ")":
-            raise SebSyntaxError("unexpected ')'", line, col)
-        if tok.startswith('"'):
-            body = tok[1:-1]
-            body = re.sub(r"\\(.)", r"\1", body)
-            return Str(body, line, col)
-        return Atom(tok, line, col)
-
-    forms = []
-    while pos < len(tokens):
-        forms.append(read(1))
+            if not open_lists:
+                raise SebSyntaxError("unexpected ')'", line, col)
+            items, line, col = open_lists.pop()
+            node: Node = SList(tuple(items), line, col)
+        elif tok.startswith('"'):
+            node = Str(re.sub(r"\\(.)", r"\1", tok[1:-1]), line, col)
+        else:
+            node = Atom(tok, line, col)
+        (open_lists[-1][0] if open_lists else forms).append(node)
+    if open_lists:  # reported at the innermost open list
+        raise SebSyntaxError("unclosed '('", *open_lists[-1][1:])
     return forms
 
 

@@ -211,14 +211,14 @@ def subacts(act: Activity) -> dict[Path, Activity]:
     The set is reflexive: it includes ``act`` itself at path ``()``.
     """
     out: dict[Path, Activity] = {}
-
-    def walk(node: Activity, path: Path) -> None:
-        out[path] = node
-        for i, child in enumerate(child_nodes(node)):
-            walk(child, path + (i,))
-
-    walk(act, ())
+    _collect(act, (), out)
     return out
+
+
+def _collect(node: Activity, path: Path, out: dict[Path, Activity]) -> None:
+    out[path] = node
+    for i, child in enumerate(child_nodes(node)):
+        _collect(child, path + (i,), out)
 
 
 def describe_path(act: Activity, path: Path) -> str:
@@ -277,10 +277,6 @@ def pred_pairs(act: Activity) -> set[tuple[Path, Path]]:
             for i in range(len(sub.children) - 1):
                 pairs.add((path + (i,), path + (i + 1,)))
     return pairs
-
-
-def contains_unf(act: Activity) -> bool:
-    return any(isinstance(s, Unf) for s in subacts(act).values())
 
 
 # --------------------------------------------------------------------------

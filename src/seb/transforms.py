@@ -11,12 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .compiler import (
+    DEFAULT_STATE_CAP,
     build_compressed_cg,
     build_prioritized_cg,
     build_raw_cg,
     check_raw_properties,
-    find_confluence_violation,
-    find_tau_cycle,
+    confluence_problem,
+    silent_cycle_problem,
 )
 from .control import (
     Action,
@@ -61,6 +62,9 @@ def _mixed_states(g: ControlGraph, rank) -> list[int]:
     ]
 
 
+_MIXED = "state {} mixes silent and observable transitions"
+
+
 def tau_prioritize(g: ControlGraph, validate: bool = True) -> ControlGraph:
     """Give silent transitions priority over observable ones.
 
@@ -70,18 +74,9 @@ def tau_prioritize(g: ControlGraph, validate: bool = True) -> ControlGraph:
     observable alternatives preserves branching equivalence.
     """
     if validate:
-        cycle = find_tau_cycle(g)
-        if cycle is not None:
-            raise TransformPreconditionError(
-                f"tau_prioritize: input contains a silent cycle through states {cycle}"
-            )
-        violation = find_confluence_violation(g)
-        if violation is not None:
-            state, g1, action, g2 = violation
-            raise TransformPreconditionError(
-                f"tau_prioritize: silent step {state}->{g1} does not commute with "
-                f"{action.render()} {state}->{g2}"
-            )
+        problem = silent_cycle_problem(g) or confluence_problem(g)
+        if problem is not None:
+            raise TransformPreconditionError(f"tau_prioritize: {problem}")
     return _keep_highest(g, _is_tau)
 
 
@@ -93,16 +88,10 @@ def tau_compress(g: ControlGraph) -> ControlGraph:
     (or sink) state; the chase follows the least-numbered successor, which
     reaches that endpoint deterministically.
     """
-    cycle = find_tau_cycle(g)
-    if cycle is not None:
-        raise TransformPreconditionError(
-            f"tau_compress: silent cycle through states {cycle}"
-        )
     mixed = _mixed_states(g, _is_tau)
-    if mixed:
-        raise TransformPreconditionError(
-            f"tau_compress: state {mixed[0]} mixes silent and observable transitions"
-        )
+    problem = silent_cycle_problem(g) or (_MIXED.format(mixed[0]) if mixed else None)
+    if problem is not None:
+        raise TransformPreconditionError(f"tau_compress: {problem}")
     out = g.outgoing()
     ends: dict[int, int] = {}
 
@@ -191,7 +180,7 @@ def build_stages(
     upto: str = "min",
     *,
     from_raw: bool = False,
-    max_states: int | None = None,
+    max_states: int = DEFAULT_STATE_CAP,
 ) -> dict[str, ControlGraph]:
     """Build each stage up to ``upto`` once, in order; return them by name.
 
@@ -206,19 +195,18 @@ def build_stages(
     """
     if upto not in STAGES:
         raise ValueError(f"unknown stage '{upto}', expected one of {STAGES}")
-    kwargs = {} if max_states is None else {"max_states": max_states}
     last = STAGES.index(upto)
     stages: dict[str, ControlGraph] = {}
     if from_raw or upto == "raw":
-        stages["raw"] = build_raw_cg(act, **kwargs)
+        stages["raw"] = build_raw_cg(act, max_states)
         if last >= 1:
             stages["prio"] = tau_prioritize(stages["raw"], validate=False)
         if last >= 2:
             stages["compress"] = tau_compress(stages["prio"])
     elif upto == "prio":
-        stages["prio"] = build_prioritized_cg(act, **kwargs)
+        stages["prio"] = build_prioritized_cg(act, max_states)
     else:
-        stages["compress"] = build_compressed_cg(act, **kwargs)
+        stages["compress"] = build_compressed_cg(act, max_states)
     if last >= 3:
         stages["rtc"] = run_to_completion(stages["compress"])
     if last >= 4:
@@ -246,10 +234,7 @@ def check_stage_invariants(
     """
     reports = [StageReport("raw", tuple(check_raw_properties(act, stages["raw"])))]
 
-    problems = [
-        f"state {state} mixes silent and observable transitions"
-        for state in _mixed_states(stages["prio"], _is_tau)
-    ]
+    problems = [_MIXED.format(state) for state in _mixed_states(stages["prio"], _is_tau)]
     reports.append(StageReport("prio", tuple(problems)))
 
     problems = []

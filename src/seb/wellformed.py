@@ -19,6 +19,7 @@ occurrences, not the square of the number of activities.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import count
 
 from .control import VarKind, action_of, find_cycle, occurrences
 from .diagnostics import (
@@ -46,9 +47,9 @@ from .syntax import (
     Rep,
     Seq,
     TRUE,
+    Unf,
     all_sources,
     all_targets,
-    contains_unf,
     describe_path,
     join_links,
     link_table,
@@ -95,10 +96,9 @@ def infer_kinds(act: Activity) -> tuple[dict[str, VarKind], list[Diagnostic]]:
 
 def validate_well_formed(act: Activity) -> list[Diagnostic]:
     """All well-formedness violations of the tree; empty means accepted."""
-    if contains_unf(act):
-        raise ValueError("validation applies to source activities, not residuals")
-
     subs = subacts(act)
+    if any(isinstance(sub, Unf) for sub in subs.values()):
+        raise ValueError("validation applies to source activities, not residuals")
     out: list[Diagnostic] = []
 
     # Link occurrence tables, by declaration role.
@@ -243,46 +243,33 @@ def desugar_seq(act: Activity) -> Activity:
     with the new link.  Numbering is allocated in preorder, so the result
     is deterministic.
     """
-    counter = 0
+    return _desugar(act, count())
 
-    def fresh() -> str:
-        nonlocal counter
-        name = f"{SEQ_LINK_PREFIX}{counter}"
-        counter += 1
-        return name
 
-    def conj(jcd, link: str):
-        return LinkRef(link) if jcd == TRUE else And(jcd, LinkRef(link))
-
-    def walk(node: Activity) -> Activity:
-        match node:
-            case Seq(children, tgt, src, jcd):
-                # nil children complete immediately: chaining skips them
-                children = tuple(c for c in children if not isinstance(c, Nil))
-                if not children:
-                    return Flo((Nil(),), tgt, src, jcd, frozenset())
-                links = [fresh() for _ in range(len(children) - 1)]
-                chained: list[Activity] = []
-                for i, child in enumerate(children):
-                    add_src = frozenset([links[i]]) if i < len(links) else frozenset()
-                    add_tgt = frozenset([links[i - 1]]) if i > 0 else frozenset()
-                    new_jcd = conj(child.jcd, links[i - 1]) if i > 0 else child.jcd
-                    child = replace(
-                        child,
-                        tgt=child.tgt | add_tgt,
-                        src=child.src | add_src,
-                        jcd=new_jcd,
-                    )
-                    chained.append(walk(child))
-                return Flo(tuple(chained), tgt, src, jcd, frozenset(links))
-            case Flo(children, tgt, src, jcd, lnk):
-                return Flo(tuple(walk(c) for c in children), tgt, src, jcd, lnk)
-            case Pic(branches, tgt, src, jcd):
-                new_branches = tuple((h, walk(c)) for h, c in branches)
-                return Pic(new_branches, tgt, src, jcd)
-            case Rep(do_pic, until_pic, tgt, src, jcd):
-                return Rep(walk(do_pic), walk(until_pic), tgt, src, jcd)
-            case _:
-                return node
-
-    return walk(act)
+def _desugar(node: Activity, numbers: count) -> Activity:
+    match node:
+        case Seq(children, tgt, src, jcd):
+            # nil children complete immediately: chaining skips them
+            children = tuple(c for c in children if not isinstance(c, Nil))
+            if not children:
+                return Flo((Nil(),), tgt, src, jcd, frozenset())
+            links = [f"{SEQ_LINK_PREFIX}{next(numbers)}" for _ in children[1:]]
+            chained: list[Activity] = []
+            for i, child in enumerate(children):
+                if i:  # runs after the previous child
+                    after = LinkRef(links[i - 1])
+                    jcd_i = after if child.jcd == TRUE else And(child.jcd, after)
+                    child = replace(child, tgt=child.tgt | {after.name}, jcd=jcd_i)
+                if i < len(links):
+                    child = replace(child, src=child.src | {links[i]})
+                chained.append(_desugar(child, numbers))
+            return Flo(tuple(chained), tgt, src, jcd, frozenset(links))
+        case Flo(children, tgt, src, jcd, lnk):
+            return Flo(tuple(_desugar(c, numbers) for c in children), tgt, src, jcd, lnk)
+        case Pic(branches, tgt, src, jcd):
+            new_branches = tuple((h, _desugar(c, numbers)) for h, c in branches)
+            return Pic(new_branches, tgt, src, jcd)
+        case Rep(do_pic, until_pic, tgt, src, jcd):
+            return Rep(_desugar(do_pic, numbers), _desugar(until_pic, numbers), tgt, src, jcd)
+        case _:
+            return node

@@ -1,9 +1,9 @@
 """Each CLI command runs with the cyclic collector paused.
 
 The pause is safe only while the compile path and the explorer leave no
-reference cycles behind whose number grows with the states they build:
-with the collector off, ``gc.collect()`` counts what they left.  ``main``
-must then leave the collector as it found it, on every exit path.
+reference cycles behind: with the collector off, ``gc.collect()`` counts
+what they left.  ``main`` must then leave the collector as it found it,
+on every exit path.
 """
 
 import gc
@@ -16,6 +16,7 @@ from seb.configs import explore_safety
 from seb.manifest import load_manifest
 from seb.parser import parse_activity_file
 from seb.transforms import build_stages, check_stage_invariants
+from seb.wellformed import validate_well_formed
 
 from conftest import ROOT
 
@@ -30,14 +31,20 @@ def collector_off():
         gc.enable()
 
 
+def test_parsing_and_validation_leave_no_cycles(collector_off):
+    act = parse_activity_file(ROOT / "corpus/quotecomparer.seb")
+    assert validate_well_formed(act) == []
+    assert gc.collect() == 0
+
+
 def test_raw_route_and_its_checks_leave_few_cycles(collector_off, quotecomparer):
     check_stage_invariants(quotecomparer, build_stages(quotecomparer, from_raw=True))
-    assert gc.collect() < 1_000
+    assert gc.collect() == 0
 
 
 def test_fused_route_leaves_few_cycles(collector_off, quotecomparer):
     build_stages(quotecomparer)
-    assert gc.collect() < 1_000
+    assert gc.collect() == 0
 
 
 def test_exploration_leaves_no_cycles(collector_off):
@@ -63,6 +70,10 @@ def interrupted(*args, **kwargs):
     raise KeyboardInterrupt
 
 
+def exhausted(*args, **kwargs):
+    raise MemoryError
+
+
 CASES = [
     pytest.param(["compile", "corpus/pingpong_client.seb"], 0, None, id="compile"),
     pytest.param(["compile", "corpus/pingpong_client.seb", "--check-properties"], 0, None,
@@ -75,6 +86,7 @@ CASES = [
     pytest.param(["compile", "corpus/quotecomparer.seb", "--max-states", "10"], 3, None,
                  id="state-cap"),
     pytest.param(["compile", "corpus/pingpong_client.seb"], 5, broken, id="internal-error"),
+    pytest.param(["compile", "corpus/pingpong_client.seb"], 3, exhausted, id="out-of-memory"),
 ]
 
 
@@ -104,7 +116,7 @@ def collector(request):
 
 @pytest.mark.parametrize("argv, code, replacement", CASES)
 def test_main_restores_the_collector(argv, code, replacement, collector, record, monkeypatch,
-                                     capsys):
+                                     capfd):
     monkeypatch.chdir(ROOT)
     seen, recording = record
     if replacement is not None:
@@ -112,6 +124,8 @@ def test_main_restores_the_collector(argv, code, replacement, collector, record,
     assert main(argv) == code
     assert gc.isenabled() is collector
     assert seen and not any(seen)
+    if replacement is exhausted:  # written straight to file descriptor 2
+        assert capfd.readouterr().err == "error: out of memory\n"
 
 
 def test_main_restores_the_collector_on_an_uncaught_interrupt(collector, record, monkeypatch):

@@ -1,10 +1,10 @@
 import pytest
 
-from seb.compiler import build_prioritized_cg, build_raw_cg
+from seb.compiler import build_prioritized_cg, build_raw_cg, check_raw_properties
 from seb.control import ControlGraph, Recv, Send, SesInit, TAU, sorted_transitions
 from seb.export import to_aut, to_dot
 from seb.parser import parse_activity, parse_activity_file
-from seb.syntax import Inv, Nil
+from seb.syntax import Flo, Inv, Nil
 from seb.transforms import (
     STAGES,
     TransformPreconditionError,
@@ -90,6 +90,26 @@ def test_compress_rejects_silent_loops():
     g = graph(0, [(0, TAU, 1), (1, TAU, 0)])
     with pytest.raises(TransformPreconditionError):
         tau_compress(g)
+
+
+def test_precondition_failures_are_worded_as_the_checks_word_them():
+    act = Flo((Inv("s", "a"), Inv("s", "b")))  # structural bound 10
+    silent_cycle = graph(0, [(0, TAU, 1), (1, TAU, 0)])
+    nonconfluent = graph(0, [(0, TAU, 1), (0, A, 2)])
+    for g in (silent_cycle, nonconfluent):
+        first = check_raw_properties(act, g)[0]
+        with pytest.raises(TransformPreconditionError) as err:
+            tau_prioritize(g)
+        assert str(err.value) == f"tau_prioritize: {first}"
+
+    mixed = graph(0, [(0, TAU, 1), (0, A, 2), (1, A, 3), (2, TAU, 3)])  # confluent
+    stages = build_stages(act, from_raw=True)
+    stages["prio"] = mixed
+    prio = check_stage_invariants(act, stages)[1]
+    assert prio.stage == "prio" and len(prio.problems) == 1
+    with pytest.raises(TransformPreconditionError) as err:
+        tau_compress(mixed)
+    assert str(err.value) == f"tau_compress: {prio.problems[0]}"
 
 
 def test_compressed_graphs_are_tau_free_and_equivalent():
