@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from .compiler import DEFAULT_STATE_CAP, StateCapExceeded
+from .configs import DEFAULT_MAX_CONFIGS, DEFAULT_MAX_QUEUE
 from .configs import Exhausted, Unsafe, Verified, explore_safety, simulate
 from .export import to_aut, to_dot
 from .manifest import load_manifest
@@ -203,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="explore a configuration for interaction safety")
     p.add_argument("manifest")
-    p.add_argument("--max-configs", type=_int_at_least(1), default=100_000)
-    p.add_argument("--max-queue", type=_int_at_least(0), default=16)
+    p.add_argument("--max-configs", type=_int_at_least(1), default=DEFAULT_MAX_CONFIGS)
+    p.add_argument("--max-queue", type=_int_at_least(0), default=DEFAULT_MAX_QUEUE)
     p.add_argument("--trace", action="store_true", help="print the witness trace")
     p.set_defaults(func=cmd_check)
 

@@ -271,6 +271,8 @@ def _closure(act: Activity, max_states: int, stage: str) -> ControlGraph:
         edges = []  # a loop, not a comprehension: one frame less above normal_form
         for step in steps:
             edges.append((step[0].sort_key(), step[0], normal_form(step[1:])))
+        if stage == "compress":  # steps of one action may meet at one endpoint
+            edges = list(dict.fromkeys(edges))
         if len(edges) > 1:  # by action, then by the successor's state_key
             edges.sort(key=lambda e: (
                 e[0], b.maps[e[2][0]].sort_key(), structure_key(b.nodes[e[2][1]])

@@ -26,8 +26,8 @@ accepts; a step reads and binds variables by position, without searching
 or sorting the map.
 Queues are kept by location name and by session number.
 ``explore_safety`` keys what it has visited by ``canonical_key``, which
-forgets finished instances, dead sessions, the order of the instances
-and the names of session ids; each instance computes its part once.
+forgets finished instances, dead sessions, the names of session ids and
+the order of differently shaped instances, each computing its part once.
 
 ``explore_safety`` also reduces by partial order (ample sets, in the manner
 of Clarke, Grumberg, Minea and Peled): where it can, a configuration
@@ -537,8 +537,6 @@ def successors(
     else:
         movers, spawners = (), [svc for svc in config.services if svc.name == actor]
     for idx, inst in movers:
-        if not inst.edges.all:
-            continue  # an instance at a sink of its graph takes no step
         who = (inst.origin, idx)
         var_map = inst.var_map
         for action, to, slots in inst.edges.all:
@@ -684,6 +682,8 @@ class Exhausted:
 
 ExploreResult = Verified | Unsafe | Exhausted
 
+DEFAULT_MAX_CONFIGS, DEFAULT_MAX_QUEUE = 100_000, 16
+
 
 # --------------------------------------------------------------------------
 # Canonical configurations
@@ -813,8 +813,8 @@ def _ample(config: RunningConfiguration) -> int | str | None:
 def explore_safety(
     services: list[DeployableService],
     client: Instance,
-    max_configs: int = 100_000,
-    max_queue_len: int = 16,
+    max_configs: int = DEFAULT_MAX_CONFIGS,
+    max_queue_len: int = DEFAULT_MAX_QUEUE,
 ) -> ExploreResult:
     """Breadth-first interaction-safety check with partial-order reduction.
 
@@ -835,9 +835,7 @@ def explore_safety(
     # Each visited key, with its breadth-first depth, the key of the
     # configuration a step first reached it from and that step; the
     # initial configuration has neither.
-    visited: dict[tuple, tuple[int, tuple | None, ConfigStep | None]] = {
-        start: (0, None, None)
-    }
+    visited: dict[tuple, tuple[int, tuple | None, ConfigStep | None]] = {start: (0, None, None)}
     truncated = False
 
     def trace_to(key: tuple) -> tuple[ConfigStep, ...]:
@@ -848,6 +846,13 @@ def explore_safety(
             _, key, step = visited[key]
         return tuple(reversed(trace))
 
+    def keyed(steps: list[ConfigStep]) -> list[tuple[ConfigStep, tuple | None]]:
+        """Each step with its result's key; None for a fault step."""
+        return [
+            (step, None if step.result.fault is not None else canonical_key(step.result, shapes))
+            for step in steps
+        ]
+
     frontier = [(initial, start)]
     depth = 0
     while frontier:
@@ -857,25 +862,17 @@ def explore_safety(
             if witness is not None:
                 return Unsafe(trace_to(key), witness, configurations=len(visited))
             actor = _ample(config)
-            steps = [] if actor is None else successors(config, actor)
-            keys: list[tuple | None] = []
-            for step in steps:
-                if step.result.fault is not None:
-                    keys.append(None)
-                    continue
-                keys.append(succ_key := canonical_key(step.result, shapes))
-                seen = visited.get(succ_key)
-                if _max_queue(succ_key) > max_queue_len or (seen and seen[0] <= depth):
-                    actor = None
-                    break
-            if actor is None:
-                steps, keys = successors(config), []
-            for i, step in enumerate(steps):
-                succ = step.result
-                if succ.fault is not None:
+            expansion = [] if actor is None else keyed(successors(config, actor))
+            if actor is None or any(
+                k is not None
+                and (_max_queue(k) > max_queue_len or k in visited and visited[k][0] <= depth)
+                for _, k in expansion
+            ):
+                expansion = keyed(successors(config))
+            for step, succ_key in expansion:
+                if succ_key is None:
                     trace = trace_to(key) + (step,)
-                    return Unsafe(trace, None, fault=succ.fault, configurations=len(visited))
-                succ_key = keys[i] if i < len(keys) else canonical_key(succ, shapes)
+                    return Unsafe(trace, None, fault=step.result.fault, configurations=len(visited))
                 if succ_key in visited:
                     continue
                 if _max_queue(succ_key) > max_queue_len:
@@ -886,7 +883,7 @@ def explore_safety(
                         len(visited), max_configs, max_queue_len, "configuration limit"
                     )
                 visited[succ_key] = (depth + 1, key, step)
-                next_frontier.append((succ, succ_key))
+                next_frontier.append((step.result, succ_key))
         frontier = next_frontier
         depth += 1
 

@@ -8,7 +8,6 @@ same input always yields bit-identical graphs.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import NamedTuple
@@ -340,6 +339,28 @@ def state_key(payload: Payload) -> tuple:
     return (c.sort_key(), structure_key(act))
 
 
+def number_bfs(g: ControlGraph, init: int, edges) -> ControlGraph:
+    """Number the states reachable from ``init`` over ``edges`` breadth first.
+
+    ``edges(state)`` lists a state's ``(action, to)`` pairs.  Successors
+    are visited in action order, ties broken by ``state_key`` of ``g``'s
+    payloads (by state id when it has none); the result holds the visited
+    states' edges and payloads, renumbered.
+    """
+    ties = g.states if g.payloads is None else [state_key(p) for p in g.payloads]
+    states = [init]
+    order: dict[int, int] = {init: 0}
+    transitions = []
+    for frm, state in enumerate(states):  # the queue: found states are appended
+        for action, to in sorted(edges(state), key=lambda e: (e[0].sort_key(), ties[e[1]])):
+            if to not in order:
+                order[to] = len(states)
+                states.append(to)
+            transitions.append((frm, action, order[to]))
+    payloads = None if g.payloads is None else tuple(map(g.payloads.__getitem__, states))
+    return ControlGraph(len(states), 0, sorted_transitions(transitions), payloads)
+
+
 def renumber_bfs(g: ControlGraph) -> ControlGraph:
     """Renumber reachable states in breadth-first discovery order.
 
@@ -349,29 +370,7 @@ def renumber_bfs(g: ControlGraph) -> ControlGraph:
     states are dropped.  Every graph the pipeline returns is numbered
     so; the compiler's closures emit this order directly.
     """
-    ties = g.states if g.payloads is None else [state_key(p) for p in g.payloads]
-
-    def edge_key(edge):
-        return (edge[0].sort_key(), ties[edge[1]])
-
-    out = g.outgoing()
-    order: dict[int, int] = {g.init: 0}
-    queue = deque([g.init])
-    while queue:
-        state = queue.popleft()
-        for action, to in sorted(out[state], key=edge_key):
-            if to not in order:
-                order[to] = len(order)
-                queue.append(to)
-    transitions = sorted_transitions(
-        (order[f], a, order[t])
-        for f, a, t in g.transitions
-        if f in order and t in order
-    )
-    payloads = None
-    if g.payloads is not None:
-        payloads = tuple(g.payloads[old] for old in order)
-    return ControlGraph(len(order), 0, transitions, payloads)
+    return number_bfs(g, g.init, g.outgoing().__getitem__)
 
 
 def find_cycle(starts, successors) -> list | None:

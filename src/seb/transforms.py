@@ -26,6 +26,7 @@ from .control import (
     Send,
     SesInit,
     Tau,
+    number_bfs,
     renumber_bfs,
 )
 from .syntax import Activity
@@ -45,12 +46,12 @@ def _keep_highest(g: ControlGraph, rank) -> ControlGraph:
     States made unreachable by the pruning are dropped.
     """
     out = g.outgoing()
-    kept = []
-    for state in g.states:
-        if out[state]:
-            best = max(rank(action) for action, _ in out[state])
-            kept += [(state, a, to) for a, to in out[state] if rank(a) == best]
-    return renumber_bfs(ControlGraph(g.num_states, g.init, tuple(kept), g.payloads))
+
+    def highest(state: int) -> list:
+        best = max((rank(action) for action, _ in out[state]), default=None)
+        return [(a, to) for a, to in out[state] if rank(a) == best]
+
+    return number_bfs(g, g.init, highest)
 
 
 def _mixed_states(g: ControlGraph, rank) -> list[int]:
@@ -65,7 +66,7 @@ def _mixed_states(g: ControlGraph, rank) -> list[int]:
 _MIXED = "state {} mixes silent and observable transitions"
 
 
-def tau_prioritize(g: ControlGraph, validate: bool = True) -> ControlGraph:
+def tau_prioritize(g: ControlGraph) -> ControlGraph:
     """Give silent transitions priority over observable ones.
 
     In the result every state is homogeneous: either all its outgoing
@@ -73,10 +74,9 @@ def tau_prioritize(g: ControlGraph, validate: bool = True) -> ControlGraph:
     the input commute with everything and cannot loop, dropping the
     observable alternatives preserves branching equivalence.
     """
-    if validate:
-        problem = silent_cycle_problem(g) or confluence_problem(g)
-        if problem is not None:
-            raise TransformPreconditionError(f"tau_prioritize: {problem}")
+    problem = silent_cycle_problem(g) or confluence_problem(g)
+    if problem is not None:
+        raise TransformPreconditionError(f"tau_prioritize: {problem}")
     return _keep_highest(g, _is_tau)
 
 
@@ -104,18 +104,14 @@ def tau_compress(g: ControlGraph) -> ControlGraph:
                 break
             chased.append(state)
             state = min(taus)
-        for visited in chased:
-            ends[visited] = ends[state]
+        ends.update(dict.fromkeys(chased, ends[state]))
         return ends[state]
 
-    new_init = endpoint(g.init)
-    transitions = []
-    for frm, action, to in g.transitions:
-        if type(action) is Tau:
-            continue
-        if endpoint(frm) == frm:
-            transitions.append((frm, action, endpoint(to)))
-    return renumber_bfs(ControlGraph(g.num_states, new_init, tuple(transitions), g.payloads))
+    # An endpoint has no silent edge, the input being homogeneous; two of
+    # its edges with one action may reach one endpoint, listed once.
+    return number_bfs(g, endpoint(g.init), lambda state: dict.fromkeys(
+        (action, endpoint(to)) for action, to in out[state]
+    ))
 
 
 _PRIORITY = {Tau: 3, Send: 2, SesInit: 1, Recv: 0}
@@ -200,7 +196,7 @@ def build_stages(
     if from_raw or upto == "raw":
         stages["raw"] = build_raw_cg(act, max_states)
         if last >= 1:
-            stages["prio"] = tau_prioritize(stages["raw"], validate=False)
+            stages["prio"] = _keep_highest(stages["raw"], _is_tau)
         if last >= 2:
             stages["compress"] = tau_compress(stages["prio"])
     elif upto == "prio":

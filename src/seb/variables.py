@@ -5,9 +5,9 @@ which kind, is ``control.occurrences``; everything here reads that
 table.  Occurrence classification is purely syntactic.  Freeness is
 defined over paths of the compiled control graph: a variable is free
 when some run uses it before any binding for it has happened, which one
-search per variable decides.  Freeness is computed on the prioritized
-(pre-pruning) graph, where every schedule is still present, and is
-stable under the equivalence-preserving stages.
+search per variable decides.  ``free_vars`` reads the prioritized
+(pre-pruning) graph, where every schedule is still present, ``check``
+the compressed one: silent steps carry no occurrences, so both agree.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ def assert_final_and_hash_consed(g):
     assert again.transitions == g.transitions
     assert again.payloads == g.payloads
     assert len(set(g.payloads)) == g.num_states
+    assert len(set(g.transitions)) == len(g.transitions)
     seen = {}
     for _, residual in g.payloads:
         assert seen.setdefault(residual, residual) is residual

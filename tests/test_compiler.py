@@ -238,5 +238,5 @@ def test_prioritized_construction_equals_pruned_raw():
     for seed in range(80):
         act = random_activity(seed, depth=3)
         fused = build_prioritized_cg(act)
-        unfused = tau_prioritize(build_raw_cg(act), validate=False)
+        unfused = tau_prioritize(build_raw_cg(act))
         assert fused == unfused, seed

@@ -16,13 +16,15 @@ from seb.transforms import (
     tau_compress,
     tau_prioritize,
 )
+from seb.wellformed import validate_well_formed
 
-from conftest import corpus_activities
+from conftest import ROOT, corpus_activities
 from oracles import (
     branching_bisimilar,
     complete_traces,
     random_activity,
     small_random_activities,
+    strongly_bisimilar,
 )
 
 
@@ -168,6 +170,27 @@ def test_minimize_rejects_silent_transitions():
         minimize(g)
 
 
+def _minimize_cases():
+    files = sorted((ROOT / "corpus").glob("*.seb")) + sorted((ROOT / "fixtures").rglob("*.seb"))
+    for path in files:
+        act = parse_activity_file(path)
+        if not validate_well_formed(act):
+            yield path.relative_to(ROOT).as_posix(), act
+    for seed in range(200):
+        act = random_activity(seed, depth=4)
+        if not validate_well_formed(act):
+            yield f"seed {seed}", act
+
+
+def test_minimize_is_strongly_bisimilar_to_its_input():
+    checked = 0
+    for name, act in _minimize_cases():
+        stages = build_stages(act)
+        assert strongly_bisimilar(stages["rtc"], stages["min"]), name
+        checked += 1
+    assert checked >= 150
+
+
 def test_minimized_partition_is_discrete():
     for seed in range(40):
         act = random_activity(seed, depth=3)
@@ -291,6 +314,18 @@ def test_quotecomparer_prioritized_graph_keeps_five_terminals(quotecomparer):
     assert len(g.sinks()) == 5
     for sink in g.sinks():
         assert isinstance(g.payloads[sink][1], Nil)
+
+
+def test_stages_list_each_transition_once():
+    # Both sends reach states with one silent endpoint, which the
+    # compressed graph must not list twice.
+    act = parse_activity("(flo (inv s a) (inv s a))")
+    for from_raw in (False, True):
+        stages = build_stages(act, from_raw=from_raw)
+        for stage in ("compress", "rtc"):
+            g = stages[stage]
+            assert len(g.transitions) == 2, (stage, from_raw)
+            assert to_aut(g).splitlines()[0] == "des (0, 2, 3)", (stage, from_raw)
 
 
 def test_transforms_apply_to_imported_graphs():
