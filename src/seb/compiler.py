@@ -12,7 +12,8 @@ from the initial configuration, over one compilation's integer tables
   elimination);
 * a flow propagates steps of its children, silently drops finished
   children, and when reduced to a single nil child ticks its own outgoing
-  links;
+  links; every rule changes the residual, so only a pick can derive one
+  step twice, and only a pick de-duplicates its steps;
 * a pick propagates a step of one branch head, cancelling the outgoing
   links of every other branch, and continues with that branch wrapped in
   a flow carrying the pick's control fields.  The links of the other
@@ -37,6 +38,7 @@ from .control import (
     TAU,
     Tau,
     action_of,
+    bfs_order,
     eval_join,
     find_cycle,
     initial_link_map,
@@ -147,10 +149,11 @@ class _Build:
 
 def enabled_steps(c: LinkMap, act: Activity) -> list[tuple[Action, LinkMap, Activity]]:
     """Every derivable transition from (c, act), deduplicated, ordered by
-    action, then by the successor's ``state_key``."""
+    action, then by the successor's ``state_key``, which is taken only for
+    the successors of an action with more than one step."""
     b = _Build(c)
-    steps = [(a, b.maps[m], b.nodes[r]) for a, m, r in _derive(b, 0, b.number(act))]
-    return sorted(steps, key=lambda s: (s[0].sort_key(), state_key(s[1:])))
+    edges = [(a, (b.maps[m], b.nodes[r])) for a, m, r in _derive(b, 0, b.number(act))]
+    return [(a, *succ) for a, succ in bfs_order(edges, lambda _: False, state_key)]
 
 
 def _derive(b: _Build, m: int, r: int) -> tuple[tuple[Action, int, int], ...]:
@@ -202,6 +205,10 @@ def _derive(b: _Build, m: int, r: int) -> tuple[tuple[Action, int, int], ...]:
                 for action, m2, r2 in _derive(b, m, head):
                     assert r2 == nil
                     steps.append((action, b.set_links(m2, False, cancelled), wrap))
+            # Every rule changes the residual, so a flow's steps through
+            # different children differ, and the other rules map their
+            # part's steps one to one: only a pick's branches can meet.
+            steps = list(dict.fromkeys(steps))
         case Rep():
             for action, m2, r2 in _derive(b, m, b.number(act.do_pic)):
                 steps.append((action, m2, b.unfold(r, r2)))
@@ -219,7 +226,7 @@ def _derive(b: _Build, m: int, r: int) -> tuple[tuple[Action, int, int], ...]:
         case _:
             raise TypeError(f"not an activity: {act!r}")
 
-    result = b.steps[key] = tuple(dict.fromkeys(steps))
+    result = b.steps[key] = tuple(steps)
     return result
 
 
@@ -231,7 +238,8 @@ def _closure(act: Activity, max_states: int, stage: str) -> ControlGraph:
 
     States are numbered as they are first met, each state's successors
     visited in action order and then by ``state_key``: the order of
-    ``renumber_bfs``, so the graph comes out in its final numbering.
+    ``renumber_bfs``, so the graph comes out in its final numbering.  The
+    key is taken only on ties, at most once per state (``bfs_order``).
     """
     root = desugar_seq(act)
     b = _Build(initial_link_map(root))
@@ -264,20 +272,17 @@ def _closure(act: Activity, max_states: int, stage: str) -> ControlGraph:
     states: list[State] = [normal_form((0, b.number(root)))]
     index: dict[State, int] = {states[0]: 0}
     transitions: list[tuple[int, Action, int]] = []
+    tie = lambda s: (b.maps[s[0]].sort_key(), structure_key(b.nodes[s[1]]))
     for sid, state in enumerate(states):  # the queue: found states are appended
         steps = _derive(b, *state)
         if stage == "prio":  # a compressing closure's states have no silent step
             steps = [s for s in steps if s[0] is TAU] or steps
         edges = []  # a loop, not a comprehension: one frame less above normal_form
         for step in steps:
-            edges.append((step[0].sort_key(), step[0], normal_form(step[1:])))
+            edges.append((step[0], normal_form(step[1:])))
         if stage == "compress":  # steps of one action may meet at one endpoint
             edges = list(dict.fromkeys(edges))
-        if len(edges) > 1:  # by action, then by the successor's state_key
-            edges.sort(key=lambda e: (
-                e[0], b.maps[e[2][0]].sort_key(), structure_key(b.nodes[e[2][1]])
-            ))
-        for _, action, succ in edges:
+        for action, succ in bfs_order(edges, index.__contains__, tie):
             if succ not in index:
                 if len(states) >= max_states:
                     raise StateCapExceeded(max_states)

@@ -339,20 +339,39 @@ def state_key(payload: Payload) -> tuple:
     return (c.sort_key(), structure_key(act))
 
 
+def bfs_order(edges, numbered, tie):
+    """Yield a state's ``(action, to)`` edges in breadth-first visiting order.
+
+    By action; a run of one action puts ``numbered`` successors first and
+    the others by ``tie(to)``, which numbers states as ordering every
+    successor by ``tie`` would.  A run is sorted only once the caller has
+    numbered the runs before it, so ``tie`` is taken at most once per state.
+    """
+    runs: dict[tuple, list] = {}
+    for edge in edges:
+        runs.setdefault(edge[0].sort_key(), []).append(edge)
+    for key in sorted(runs):
+        run = runs[key]
+        if len(run) > 1:
+            run.sort(key=lambda e: () if numbered(e[1]) else tie(e[1]))
+        yield from run
+
+
 def number_bfs(g: ControlGraph, init: int, edges) -> ControlGraph:
     """Number the states reachable from ``init`` over ``edges`` breadth first.
 
     ``edges(state)`` lists a state's ``(action, to)`` pairs.  Successors
     are visited in action order, ties broken by ``state_key`` of ``g``'s
-    payloads (by state id when it has none); the result holds the visited
-    states' edges and payloads, renumbered.
+    payloads (by state id when it has none), taken only on ties
+    (``bfs_order``); the result holds the visited states' edges and
+    payloads, renumbered.
     """
-    ties = g.states if g.payloads is None else [state_key(p) for p in g.payloads]
+    tie = (lambda to: (to,)) if g.payloads is None else (lambda to: state_key(g.payloads[to]))
     states = [init]
     order: dict[int, int] = {init: 0}
     transitions = []
     for frm, state in enumerate(states):  # the queue: found states are appended
-        for action, to in sorted(edges(state), key=lambda e: (e[0].sort_key(), ties[e[1]])):
+        for action, to in bfs_order(edges(state), order.__contains__, tie):
             if to not in order:
                 order[to] = len(states)
                 states.append(to)
@@ -366,9 +385,10 @@ def renumber_bfs(g: ControlGraph) -> ControlGraph:
 
     Successors are visited in action order with payload-content ties (or
     old ids when payloads are gone), so the numbering depends only on the
-    graph's content, not on the order of its transitions; unreachable
-    states are dropped.  Every graph the pipeline returns is numbered
-    so; the compiler's closures emit this order directly.
+    graph's content, not on the order of its transitions; a tie's key is
+    taken only for unnumbered successors of one action, once per state.
+    Unreachable states are dropped.  Every graph the pipeline returns is
+    numbered so; the compiler's closures emit this order directly.
     """
     return number_bfs(g, g.init, g.outgoing().__getitem__)
 

@@ -14,7 +14,7 @@ import itertools
 import random
 from collections import deque
 
-from seb.control import TAU, Action, ControlGraph, Recv, Send, SesInit
+from seb.control import TAU, Action, ControlGraph, Recv, Send, SesInit, state_key
 from seb.syntax import (
     Activity,
     And,
@@ -619,6 +619,38 @@ def reference_confluence_violation(g: ControlGraph):
                 if not joined:
                     return (state, g1, action, g2)
     return None
+
+
+# --------------------------------------------------------------------------
+# Reference numbering
+
+
+def reference_renumber_bfs(g: ControlGraph) -> ControlGraph:
+    """Breadth-first renumbering that keys every successor.
+
+    Each state's successors are sorted by ``(action.sort_key(),
+    state_key(payload))``, whether or not they tie on the action or have
+    a number already: the rule the closures and ``number_bfs`` must give
+    while they take the key only on ties.  ``g`` must keep its payloads.
+    """
+    out: dict[int, list] = {state: [] for state in g.states}
+    for frm, action, to in g.transitions:
+        out[frm].append((action, to))
+    order = {g.init: 0}
+    queue = deque([g.init])
+    transitions = []
+    while queue:
+        state = queue.popleft()
+        for action, to in sorted(
+            out[state], key=lambda e: (e[0].sort_key(), state_key(g.payloads[e[1]]))
+        ):
+            if to not in order:
+                order[to] = len(order)
+                queue.append(to)
+            transitions.append((order[state], action, order[to]))
+    transitions.sort(key=lambda t: (t[0], t[1].sort_key(), t[2]))
+    payloads = tuple(g.payloads[state] for state in sorted(order, key=order.get))
+    return ControlGraph(len(order), 0, tuple(transitions), payloads)
 
 
 # --------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 ``_closure`` numbers states as it meets them, successors in action order
 and ties by ``state_key``, which is the order of ``renumber_bfs``: so
-renumbering a closure's graph must leave it as it is.  One build numbers
-each residual once, so no two states share a payload and equal residuals
-in one graph are one object.
+renumbering a closure's graph must leave it as it is.  Both take the key
+only on ties, so each graph, and every stage that keeps payloads, is
+also checked against ``oracles.reference_renumber_bfs``, which keys
+every successor.  One build numbers each residual once, so no two states
+share a payload and equal residuals in one graph are one object.
 """
 
 import pytest
@@ -17,18 +19,40 @@ from seb.compiler import (
 )
 from seb.control import renumber_bfs
 from seb.parser import parse_activity_file
+from seb.transforms import build_stages
 from seb.wellformed import validate_well_formed
 
 from conftest import RAW_TOO_LARGE, ROOT
-from oracles import linked_flo, random_activity, seq_of_invs
+from oracles import (
+    linked_flo,
+    pick_of_recs,
+    random_activity,
+    reference_renumber_bfs,
+    seq_of_invs,
+)
 
 BUILDS = {"raw": build_raw_cg, "prio": build_prioritized_cg, "compress": build_compressed_cg}
+
+
+def assert_reference_order(g):
+    again = reference_renumber_bfs(g)
+    assert again.transitions == g.transitions
+    assert again.payloads == g.payloads
+
+
+def assert_stages_in_reference_order(act, from_raw, **kwargs):
+    for name, g in build_stages(act, from_raw=from_raw, **kwargs).items():
+        if name == "min":  # the quotient keeps no payloads
+            assert g.payloads is None
+        else:
+            assert_reference_order(g)
 
 
 def assert_final_and_hash_consed(g):
     again = renumber_bfs(g)
     assert again.transitions == g.transitions
     assert again.payloads == g.payloads
+    assert_reference_order(g)
     assert len(set(g.payloads)) == g.num_states
     assert len(set(g.transitions)) == len(g.transitions)
     seen = {}
@@ -36,15 +60,25 @@ def assert_final_and_hash_consed(g):
         assert seen.setdefault(residual, residual) is residual
 
 
-def _cases():
+def _well_formed_files():
     files = sorted((ROOT / "corpus").glob("*.seb")) + sorted((ROOT / "fixtures").rglob("*.seb"))
     for path in files:
-        name = path.relative_to(ROOT).as_posix()
-        if validate_well_formed(parse_activity_file(path)):
-            continue
+        if not validate_well_formed(parse_activity_file(path)):
+            yield path, path.relative_to(ROOT).as_posix()
+
+
+def _cases():
+    for path, name in _well_formed_files():
         for stage in BUILDS:
             if stage != "raw" or name not in RAW_TOO_LARGE:
                 yield pytest.param(path, stage, id=f"{name}-{stage}")
+
+
+def _stage_cases():
+    for path, name in _well_formed_files():
+        yield pytest.param(path, False, id=f"{name}-fused")
+        if name not in RAW_TOO_LARGE:
+            yield pytest.param(path, True, id=f"{name}-from-raw")
 
 
 @pytest.mark.parametrize("path, stage", _cases())
@@ -68,7 +102,38 @@ def test_generated_activities(stage):
     assert built >= 300
 
 
+WIDE = pytest.mark.parametrize(
+    "make", [linked_flo, seq_of_invs, pick_of_recs], ids=["linked-flo", "seq-of-invs", "pick"]
+)
+
+
 @pytest.mark.parametrize("stage", BUILDS)
-@pytest.mark.parametrize("make", [linked_flo, seq_of_invs], ids=["linked-flo", "seq-of-invs"])
+@WIDE
 def test_wide_activities(make, stage):
     assert_final_and_hash_consed(BUILDS[stage](make(200)))
+
+
+@pytest.mark.parametrize("path, from_raw", _stage_cases())
+def test_stages_of_corpus_and_fixtures(path, from_raw):
+    assert_stages_in_reference_order(parse_activity_file(path), from_raw)
+
+
+@pytest.mark.parametrize("from_raw", [False, True], ids=["fused", "from-raw"])
+def test_stages_of_generated_activities(from_raw):
+    built = 0
+    for seed in range(400):
+        act = random_activity(seed, depth=4)
+        if validate_well_formed(act):
+            continue
+        try:
+            assert_stages_in_reference_order(act, from_raw, max_states=5_000)
+        except StateCapExceeded:
+            continue
+        built += 1
+    assert built >= 300
+
+
+@pytest.mark.parametrize("from_raw", [False, True], ids=["fused", "from-raw"])
+@WIDE
+def test_stages_of_wide_activities(make, from_raw):
+    assert_stages_in_reference_order(make(200), from_raw)

@@ -1,5 +1,6 @@
 import pytest
 
+from seb.cli import main
 from seb.compiler import (
     StateCapExceeded,
     build_prioritized_cg,
@@ -122,6 +123,17 @@ def test_no_duplicate_steps():
     # both nil removals coincide on the same successor
     tau_results = [s for s in steps if s[0] == TAU]
     assert len(tau_results) == 1
+
+
+def test_pick_of_two_equal_branches_gives_one_step(tmp_path, capsys):
+    # The one rule that can derive a step twice: two branches of a pick
+    # with equal heads, continuations and cancelled links.
+    source = "(pic (on (rec s a) (nil)) (on (rec s a) (nil)))"
+    assert len(enabled_steps(LinkMap.of({}), parse_activity(source))) == 1
+    path = tmp_path / "twobranch.seb"
+    path.write_text(source, encoding="utf-8")
+    assert main(["compile", str(path), "--stage", "raw"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "des (0, 2, 3)"
 
 
 def test_enabled_steps_come_in_action_then_state_order():

@@ -2,7 +2,8 @@
 
 Counts the state-space closures (``compiler._closure``, behind both the
 raw and the fused prioritized construction) and the confluence checks a
-command makes.
+command makes, and the ordering keys (``structure_key``) the closures
+take: only successors that tie on one action are keyed, each state once.
 """
 
 import sys
@@ -11,11 +12,19 @@ from collections import Counter
 import pytest
 
 import seb.compiler
+import seb.control
 from seb.cli import main
-from seb.syntax import to_source
+from seb.compiler import (
+    StateCapExceeded,
+    build_compressed_cg,
+    build_prioritized_cg,
+    build_raw_cg,
+)
+from seb.syntax import Flo, Inv, to_source
+from seb.wellformed import validate_well_formed
 
 from conftest import ROOT
-from oracles import random_activity
+from oracles import linked_flo, pick_of_recs, random_activity, seq_of_invs
 
 
 @pytest.fixture
@@ -60,3 +69,54 @@ def test_compile_runs_one_closure(flags, closures, confluence, calls, tmp_path):
 def test_check_runs_one_closure_per_activity(manifest, activities, calls):
     assert main(["check", str(ROOT / manifest), "--max-configs", "10"]) == 4
     assert calls == Counter(closure=activities)
+
+
+@pytest.fixture
+def keys(monkeypatch):
+    """Counts the top-level ``structure_key`` calls of the compiler and ``control``."""
+    tally: Counter[str] = Counter()
+    for module in (seb.compiler, seb.control):
+        def counted(act, original=module.structure_key):
+            tally["keys"] += 1
+            return original(act)
+
+        monkeypatch.setattr(module, "structure_key", counted)
+    return tally
+
+
+def distinct_invs(n):
+    return Flo(tuple(Inv("s", f"a{i}") for i in range(n)))
+
+
+# Keying every successor took 39,800 keys for each of the first two raw
+# closures, 200 for each pick and 5,110 for the flo of 10.
+@pytest.mark.parametrize("build, make, n", [
+    (build_raw_cg, seq_of_invs, 200),
+    (build_compressed_cg, seq_of_invs, 200),
+    (build_raw_cg, linked_flo, 200),
+    (build_compressed_cg, linked_flo, 200),
+    (build_raw_cg, pick_of_recs, 200),
+    (build_compressed_cg, pick_of_recs, 200),
+    (build_compressed_cg, distinct_invs, 10),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_closures_key_no_state_without_ties(build, make, n, keys):
+    build(make(n))
+    assert keys["keys"] == 0
+
+
+@pytest.mark.parametrize("build", [build_raw_cg, build_prioritized_cg, build_compressed_cg],
+                         ids=["raw", "prio", "compress"])
+def test_closures_key_each_state_at_most_once(build, keys):
+    built = 0
+    for seed in range(400):
+        act = random_activity(seed, depth=4)
+        if validate_well_formed(act):
+            continue
+        keys.clear()
+        try:
+            g = build(act, max_states=5_000)
+        except StateCapExceeded:
+            continue
+        assert keys["keys"] <= g.num_states, seed
+        built += 1
+    assert built >= 300
