@@ -3,7 +3,11 @@
 ``enabled_steps`` returns every transition derivable from a configuration
 (link map, residual activity); ``build_raw_cg`` closes it breadth-first
 from the initial configuration, over one compilation's integer tables
-(``_Build``), emitting states in their final numbering.  The step relation:
+(``_Build``), emitting states in their final numbering.  The prioritized,
+compressed and run-to-completion closures prune or chase the same steps
+as they expand; the last two drop a flow's finished child in the step
+that finishes it, which the silent drop below would reach.  The step
+relation:
 
 * an atomic activity whose join evaluates true fires its action, sets its
   outgoing links true and reduces to nil;
@@ -38,6 +42,7 @@ from .control import (
     TAU,
     Tau,
     action_of,
+    action_priority,
     bfs_order,
     eval_join,
     find_cycle,
@@ -80,10 +85,12 @@ class _Build:
     numbers), an unfolding by (number of the repeat it unfolds, its
     body's number), any other node, which is a part of the input tree,
     by value.  So equal residuals are one number and one object, and a
-    derived residual is built only when its key is new.
+    derived residual is built only when its key is new.  With ``drop``
+    set, a flow's child that steps to nil leaves the flow in that step.
     """
 
-    def __init__(self, c: LinkMap):
+    def __init__(self, c: LinkMap, drop: bool = False):
+        self.drop = drop
         self.maps, self.map_nos, self.links = [c], {c.codes: 0}, {}
         self.nodes, self.keys, self.node_nos, self.fields = [], [], {}, {}
         self.picks, self.steps = {}, {}  # per pick its parts; the memo of _derive
@@ -191,6 +198,10 @@ def _derive(b: _Build, m: int, r: int) -> tuple[tuple[Action, int, int], ...]:
             if kids == (nil,):
                 steps.append((TAU, b.set_links(m, True, act.src), nil))
             else:
+                # Leaving a finished child out in its own step takes the
+                # silent drop of its nil at once, so the endpoint stays
+                # (silent steps are confluent); a last child stays to tick.
+                drop = b.drop and len(kids) > 1
                 for i, kid in enumerate(kids):
                     if kid == nil:
                         # Dropping either of two adjacent nils gives one successor.
@@ -198,7 +209,8 @@ def _derive(b: _Build, m: int, r: int) -> tuple[tuple[Action, int, int], ...]:
                             steps.append((TAU, m, b.flow(act, ctl, kids[:i] + kids[i + 1 :])))
                         continue
                     for action, m2, r2 in _derive(b, m, kid):
-                        succ = b.flow(act, ctl, kids[:i] + (r2,) + kids[i + 1 :])
+                        kid2 = () if drop and r2 == nil else (r2,)
+                        succ = b.flow(act, ctl, kids[:i] + kid2 + kids[i + 1 :])
                         steps.append((action, m2, succ))
         case Pic():
             for head, wrap, cancelled in b.pick(r):
@@ -234,15 +246,21 @@ DEFAULT_STATE_CAP = 1_000_000
 
 
 def _closure(act: Activity, max_states: int, stage: str) -> ControlGraph:
-    """The closure behind the ``build_<stage>_cg`` of "raw", "prio" or "compress".
+    """The closure behind the ``build_<stage>_cg`` of "raw", "prio" or "compress",
+    or behind the "rtc" stage of ``build_stages``.
 
     States are numbered as they are first met, each state's successors
     visited in action order and then by ``state_key``: the order of
     ``renumber_bfs``, so the graph comes out in its final numbering.  The
     key is taken only on ties, at most once per state (``bfs_order``).
+    "rtc" compresses as "compress" does and keeps, at each state, only
+    the steps of its highest ``action_priority`` class before it chases
+    them, which is ``run_to_completion`` of the compressed graph.  Both
+    drop a flow's finished child in the step that finishes it.
     """
     root = desugar_seq(act)
-    b = _Build(initial_link_map(root))
+    compressing = stage in ("compress", "rtc")
+    b = _Build(initial_link_map(root), drop=compressing)
     ends: dict[State, State] = {}
 
     def normal_form(state: State) -> State:
@@ -254,7 +272,7 @@ def _closure(act: Activity, max_states: int, stage: str) -> ControlGraph:
         endpoint; the cap counts all of them, so a silent loop stops at
         the cap instead of spinning.
         """
-        if stage != "compress":
+        if not compressing:
             return state
         path = []
         while state not in ends:
@@ -277,10 +295,13 @@ def _closure(act: Activity, max_states: int, stage: str) -> ControlGraph:
         steps = _derive(b, *state)
         if stage == "prio":  # a compressing closure's states have no silent step
             steps = [s for s in steps if s[0] is TAU] or steps
+        elif stage == "rtc" and steps:
+            top = max(action_priority(s[0]) for s in steps)
+            steps = [s for s in steps if action_priority(s[0]) == top]
         edges = []  # a loop, not a comprehension: one frame less above normal_form
         for step in steps:
             edges.append((step[0], normal_form(step[1:])))
-        if stage == "compress":  # steps of one action may meet at one endpoint
+        if compressing:  # steps of one action may meet at one endpoint
             edges = list(dict.fromkeys(edges))
         for action, succ in bfs_order(edges, index.__contains__, tie):
             if succ not in index:

@@ -186,6 +186,13 @@ Action = Tau | SesInit | Send | Recv
 
 TAU = Tau()
 
+_PRIORITY = {Tau: 3, Send: 2, SesInit: 1, Recv: 0}
+
+
+def action_priority(action: Action) -> int:
+    """Run-to-completion's rank: silent > send > session-init > receive."""
+    return _PRIORITY[type(action)]
+
 
 class VarKind(enum.Enum):
     SESSION = "session"

@@ -31,7 +31,7 @@ from .parser import (
     Atom, InputError, Node, SList, Str, SebSyntaxError, parse_activity_file, read_forms,
 )
 from .syntax import OWN_LOCATION
-from .transforms import build_stages
+from .transforms import build_stages, minimize, run_to_completion
 from .variables import classify_occurrences, free_vars_of_graph
 from .wellformed import validate_well_formed
 
@@ -119,8 +119,8 @@ def _load_entry(
     bindings = _parse_bindings(binds)
     if bindings.keys() & own.keys():
         raise _err(form, f"bind '{OWN_LOCATION}' through :at, not :bind")
-    stages = build_stages(act)
-    free = free_vars_of_graph(stages["compress"])
+    compressed = build_stages(act, "compress")["compress"]
+    free = free_vars_of_graph(compressed)
     var_map: dict[str, Value | None] = {
         v: None for v in classify_occurrences(act).all_vars | own.keys()
     }
@@ -129,7 +129,7 @@ def _load_entry(
         raise _err(form, f"{who} binds unknown variables: {unknown}")
     var_map.update(bindings)
     var_map.update(own)
-    return act, var_map, free, stages["min"]
+    return act, var_map, free, minimize(run_to_completion(compressed))
 
 
 def load_manifest(path) -> LoadedManifest:

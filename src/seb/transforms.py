@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import compiler
 from .compiler import (
     DEFAULT_STATE_CAP,
     build_compressed_cg,
@@ -22,10 +23,8 @@ from .compiler import (
 from .control import (
     Action,
     ControlGraph,
-    Recv,
-    Send,
-    SesInit,
     Tau,
+    action_priority,
     number_bfs,
     renumber_bfs,
 )
@@ -114,13 +113,6 @@ def tau_compress(g: ControlGraph) -> ControlGraph:
     ))
 
 
-_PRIORITY = {Tau: 3, Send: 2, SesInit: 1, Recv: 0}
-
-
-def action_priority(action: Action) -> int:
-    return _PRIORITY[type(action)]
-
-
 def run_to_completion(g: ControlGraph) -> ControlGraph:
     """Keep only the highest-priority class of transitions at every state.
 
@@ -181,11 +173,13 @@ def build_stages(
     """Build each stage up to ``upto`` once, in order; return them by name.
 
     The raw closure runs only when ``upto`` is "raw" or ``from_raw`` is
-    set; the prioritized stage is then pruned from it and compressed.
-    Otherwise "prio" comes from the fused construction, which never
-    expands the successors prioritization would discard, and every later
-    stage from the compressing closure, which follows one silent step per
-    state; neither builds a "prio" entry for the other.  Both routes give
+    set; every later stage is then pruned, compressed or minimized from
+    the one before.  Otherwise one closure builds the stage asked for:
+    "prio" the fused one, which never expands the successors
+    prioritization would discard, "compress" the compressing one, which
+    follows one silent step per state, and "rtc" and "min" the one that
+    also keeps a state's highest priority class as it expands it, so
+    neither "prio" nor "compress" is built on the way.  Both routes give
     the same graphs (asserted in the tests).  Every stage keeps the
     payloads it has.
     """
@@ -199,12 +193,14 @@ def build_stages(
             stages["prio"] = _keep_highest(stages["raw"], _is_tau)
         if last >= 2:
             stages["compress"] = tau_compress(stages["prio"])
+        if last >= 3:
+            stages["rtc"] = run_to_completion(stages["compress"])
     elif upto == "prio":
         stages["prio"] = build_prioritized_cg(act, max_states)
-    else:
+    elif upto == "compress":
         stages["compress"] = build_compressed_cg(act, max_states)
-    if last >= 3:
-        stages["rtc"] = run_to_completion(stages["compress"])
+    else:
+        stages["rtc"] = compiler._closure(act, max_states, "rtc")
     if last >= 4:
         stages["min"] = minimize(stages["rtc"])
     return stages

@@ -4,7 +4,12 @@
 only the states without one.  Renumbered, it must give exactly what
 ``tau_compress`` makes of the fused prioritized graph: the same ``.aut``
 text and the same payloads, and the same ``.aut`` text after
-run-to-completion and after minimization.
+run-to-completion and after minimization.  The closure behind the
+``rtc`` and ``min`` stages of ``build_stages`` must give exactly
+run-to-completion of the compressing closure, payloads included, and
+its minimization.  Only these two closures drop a flow's finished child
+in the step that finishes it; the raw and prioritized closures and
+``enabled_steps`` keep the nil.
 """
 
 import itertools
@@ -17,12 +22,14 @@ from seb.compiler import (
     StateCapExceeded,
     build_compressed_cg,
     build_prioritized_cg,
+    build_raw_cg,
+    enabled_steps,
 )
-from seb.control import TAU, renumber_bfs
+from seb.control import TAU, initial_link_map, renumber_bfs
 from seb.export import to_aut
 from seb.parser import parse_activity, parse_activity_file
-from seb.syntax import Inv
-from seb.transforms import minimize, run_to_completion, tau_compress
+from seb.syntax import NIL, Flo, Inv
+from seb.transforms import build_stages, minimize, run_to_completion, tau_compress
 from seb.wellformed import validate_well_formed
 
 from conftest import ROOT
@@ -41,10 +48,33 @@ def assert_same_stages(act, oracle_cap=DEFAULT_STATE_CAP):
     expected, got = run_to_completion(expected), run_to_completion(got)
     assert to_aut(got) == to_aut(expected)
     assert to_aut(minimize(got)) == to_aut(minimize(expected))
+    assert_same_rtc(act)
+
+
+def assert_same_rtc(act):
+    expected = run_to_completion(build_compressed_cg(act))
+    stages = build_stages(act, "min")
+    assert to_aut(stages["rtc"]) == to_aut(expected)
+    assert stages["rtc"].payloads == expected.payloads
+    assert to_aut(stages["min"]) == to_aut(minimize(expected))
 
 
 def _valid(path):
     return not validate_well_formed(parse_activity_file(path))
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        path
+        for folder in ("corpus", "fixtures")
+        for path in sorted((ROOT / folder).rglob("*.seb"))
+        if _valid(path)
+    ],
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_rtc_closure_on_corpus_and_fixtures(path):
+    assert_same_rtc(parse_activity_file(path))
 
 
 @pytest.mark.parametrize(
@@ -88,8 +118,9 @@ def test_generated_activities(depth, seeds, least):
         lambda: parse_activity("(seq" + " (flo (nil))" * 100 + ")"),
         lambda: seq_of_invs(200),
         lambda: linked_flo(200),
+        lambda: pick_of_recs(200),
     ],
-    ids=["seq-flo-25", "seq-flo-50", "seq-flo-100", "seq-inv-200", "flo-chain-200"],
+    ids=["seq-flo-25", "seq-flo-50", "seq-flo-100", "seq-inv-200", "flo-chain-200", "pick-200"],
 )
 def test_wide_activities(build):
     assert_same_stages(build())
@@ -112,3 +143,15 @@ def test_silent_loop_stops_at_the_cap(monkeypatch):
     with pytest.raises(StateCapExceeded):
         build_compressed_cg(start, max_states=10)
     assert next(calls) <= 11
+
+
+def _holds_finished_child(residual):
+    return isinstance(residual, Flo) and len(residual.children) > 1 and NIL in residual.children
+
+
+def test_only_compressing_closures_drop_a_finished_child():
+    act = parse_activity("(flo (inv s a) (inv s b))")
+    steps = enabled_steps(initial_link_map(act), act)
+    assert any(_holds_finished_child(r) for _, _, r in steps)
+    for build in (build_raw_cg, build_prioritized_cg):
+        assert any(_holds_finished_child(r) for _, r in build(act).payloads), build

@@ -27,7 +27,7 @@ EXPONENTIAL = {"choices"}
 def stage_graphs(act, with_raw=True):
     if with_raw:
         return build_stages(act, from_raw=True)
-    return {**build_stages(act, "prio"), **build_stages(act)}
+    return {**build_stages(act, "prio"), **build_stages(act, "compress"), **build_stages(act)}
 
 
 def validating_activities():

@@ -1,11 +1,12 @@
 """The least ``max_states`` cap at which each stage builds.
 
-The caps were recorded before the closures stopped sorting their derived
-steps, so they pin how many states each closure explores: the raw
-closure, the fused prioritized closure behind ``prio`` and the
-compressing closure behind ``min``, which also counts the states its
-silent chase passes through.  Each stage must build at its recorded cap
-and raise ``StateCapExceeded`` one below it.
+The caps pin how many states each closure explores: the raw closure,
+the fused prioritized closure behind ``prio``, the compressing closure
+behind ``compress`` and the closure behind ``min``, which also keeps
+each state's highest priority class as it expands it.  The last two
+also count the states their silent chase passes through, and drop a
+flow's finished child in the step that finishes it.  Each stage must
+build at its recorded cap and raise ``StateCapExceeded`` one below it.
 
 Inputs: the corpus and fixture activities that validate, a ``seq`` of 25
 silent flows, ``seq_of_invs(30)``, ``linked_flo(30)`` and
@@ -22,60 +23,60 @@ from seb.transforms import build_stages
 from conftest import ROOT
 from oracles import linked_flo, random_activity, seq_of_invs
 
-STAGES = ("raw", "prio", "min")
+STAGES = ("raw", "prio", "compress", "min")
 
-# input name -> least cap at raw, prio and min (None: not checked)
+# input name -> least cap at raw, prio, compress and min (None: not checked)
 LEAST_CAP = {
-    "corpus/looping_client.seb": (37, 15, 15),
-    "corpus/looping_service.seb": (4, 4, 4),
-    "corpus/pingpong_client.seb": (10, 7, 7),
-    "corpus/pingpong_service.seb": (4, 4, 4),
-    "corpus/quotecomparer.seb": (None, 429, 163),
-    "fixtures/atomic_inv.seb": (2, 2, 2),
-    "fixtures/mismatch_client.seb": (10, 7, 7),
-    "seq-flo-25": (351, 351, 51),
-    "seq-inv-30": (496, 61, 61),
-    "flo-chain-30": (496, 61, 61),
-    "random-0": (22, 21, 21),
-    "random-1": (2, 2, 2),
-    "random-2": (93, 61, 54),
-    "random-3": (2, 2, 2),
-    "random-4": (2, 2, 2),
-    "random-5": (349, 89, 87),
-    "random-6": (7, 6, 6),
-    "random-7": (2, 2, 2),
-    "random-8": (2, 2, 2),
-    "random-9": (182, 40, 40),
-    "random-10": (63, 17, 17),
-    "random-11": (148, 53, 53),
-    "random-12": (169, 39, 39),
-    "random-13": (2, 2, 2),
-    "random-14": (2, 2, 2),
-    "random-15": (12, 11, 11),
-    "random-16": (510, 62, 54),
-    "random-17": (53, 36, 36),
-    "random-18": (2, 2, 2),
-    "random-19": (1038, 396, 396),
-    "random-20": (6, 6, 6),
-    "random-21": (2, 2, 2),
-    "random-22": (60, 35, 35),
-    "random-23": (97, 50, 50),
-    "random-24": (310, 96, 96),
-    "random-25": (3, 3, 3),
-    "random-26": (43, 33, 33),
-    "random-27": (12, 9, 9),
-    "random-28": (2, 2, 2),
-    "random-29": (2270, 272, 272),
-    "random-30": (130, 65, 65),
-    "random-31": (2, 2, 2),
-    "random-32": (2, 2, 2),
-    "random-33": (39, 32, 30),
-    "random-34": (24, 12, 12),
-    "random-35": (4, 4, 4),
-    "random-36": (2, 2, 2),
-    "random-37": (19, 19, 19),
-    "random-38": (86, 38, 38),
-    "random-39": (2, 2, 2),
+    "corpus/looping_client.seb": (37, 15, 12, 12),
+    "corpus/looping_service.seb": (4, 4, 4, 4),
+    "corpus/pingpong_client.seb": (10, 7, 5, 5),
+    "corpus/pingpong_service.seb": (4, 4, 4, 4),
+    "corpus/quotecomparer.seb": (None, 429, 108, 83),
+    "fixtures/atomic_inv.seb": (2, 2, 2, 2),
+    "fixtures/mismatch_client.seb": (10, 7, 5, 5),
+    "seq-flo-25": (351, 351, 27, 27),
+    "seq-inv-30": (496, 61, 32, 32),
+    "flo-chain-30": (496, 61, 32, 32),
+    "random-0": (22, 21, 20, 20),
+    "random-1": (2, 2, 2, 2),
+    "random-2": (93, 61, 40, 30),
+    "random-3": (2, 2, 2, 2),
+    "random-4": (2, 2, 2, 2),
+    "random-5": (349, 89, 57, 30),
+    "random-6": (7, 6, 5, 5),
+    "random-7": (2, 2, 2, 2),
+    "random-8": (2, 2, 2, 2),
+    "random-9": (182, 40, 31, 18),
+    "random-10": (63, 17, 12, 12),
+    "random-11": (148, 53, 40, 40),
+    "random-12": (169, 39, 32, 32),
+    "random-13": (2, 2, 2, 2),
+    "random-14": (2, 2, 2, 2),
+    "random-15": (12, 11, 10, 10),
+    "random-16": (510, 62, 32, 28),
+    "random-17": (53, 36, 29, 28),
+    "random-18": (2, 2, 2, 2),
+    "random-19": (1038, 396, 258, 57),
+    "random-20": (6, 6, 6, 6),
+    "random-21": (2, 2, 2, 2),
+    "random-22": (60, 35, 26, 22),
+    "random-23": (97, 50, 38, 35),
+    "random-24": (310, 96, 70, 47),
+    "random-25": (3, 3, 3, 3),
+    "random-26": (43, 33, 27, 14),
+    "random-27": (12, 9, 6, 5),
+    "random-28": (2, 2, 2, 2),
+    "random-29": (2270, 272, 171, 83),
+    "random-30": (130, 65, 51, 28),
+    "random-31": (2, 2, 2, 2),
+    "random-32": (2, 2, 2, 2),
+    "random-33": (39, 32, 23, 13),
+    "random-34": (24, 12, 9, 9),
+    "random-35": (4, 4, 4, 4),
+    "random-36": (2, 2, 2, 2),
+    "random-37": (19, 19, 19, 19),
+    "random-38": (86, 38, 30, 26),
+    "random-39": (2, 2, 2, 2),
 }
 
 

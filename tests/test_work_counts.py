@@ -120,3 +120,10 @@ def test_closures_key_each_state_at_most_once(build, keys):
         assert keys["keys"] <= g.num_states, seed
         built += 1
     assert built >= 300
+
+
+def test_compressing_closure_drops_a_finished_child_in_its_step():
+    # Building each flow that still held its finished child, and chasing
+    # the silent drop from it, passed through 3,840 states.
+    g = build_compressed_cg(distinct_invs(10), max_states=1025)
+    assert g.num_states == 1024
