@@ -251,8 +251,9 @@ def _closure(act: Activity, max_states: int, stage: str) -> ControlGraph:
 
     States are numbered as they are first met, each state's successors
     visited in action order and then by ``state_key``: the order of
-    ``renumber_bfs``, so the graph comes out in its final numbering.  The
-    key is taken only on ties, at most once per state (``bfs_order``).
+    ``renumber_bfs``, so the graph comes out in its final numbering.  A run
+    of one action is keyed only when two or more of its successors have no
+    number yet, each state at most once (``bfs_order``).
     "rtc" compresses as "compress" does and keeps, at each state, only
     the steps of its highest ``action_priority`` class before it chases
     them, which is ``run_to_completion`` of the compressed graph.  Both

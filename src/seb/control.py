@@ -351,15 +351,17 @@ def bfs_order(edges, numbered, tie):
 
     By action; a run of one action puts ``numbered`` successors first and
     the others by ``tie(to)``, which numbers states as ordering every
-    successor by ``tie`` would.  A run is sorted only once the caller has
-    numbered the runs before it, so ``tie`` is taken at most once per state.
+    successor by ``tie`` would.  A run is keyed only when two or more of
+    its successors have no number yet, as numbers follow only the order
+    unnumbered successors are met; and only once the caller has numbered
+    the runs before it, so ``tie`` is taken at most once per state.
     """
     runs: dict[tuple, list] = {}
     for edge in edges:
         runs.setdefault(edge[0].sort_key(), []).append(edge)
     for key in sorted(runs):
         run = runs[key]
-        if len(run) > 1:
+        if len(run) > 1 and sum(not numbered(e[1]) for e in run) > 1:
             run.sort(key=lambda e: () if numbered(e[1]) else tie(e[1]))
         yield from run
 
@@ -369,9 +371,9 @@ def number_bfs(g: ControlGraph, init: int, edges) -> ControlGraph:
 
     ``edges(state)`` lists a state's ``(action, to)`` pairs.  Successors
     are visited in action order, ties broken by ``state_key`` of ``g``'s
-    payloads (by state id when it has none), taken only on ties
-    (``bfs_order``); the result holds the visited states' edges and
-    payloads, renumbered.
+    payloads (by state id when it has none).  A run is keyed only when two
+    or more of its successors have no number yet (``bfs_order``); the
+    result holds the visited states' edges and payloads, renumbered.
     """
     tie = (lambda to: (to,)) if g.payloads is None else (lambda to: state_key(g.payloads[to]))
     states = [init]
@@ -392,10 +394,10 @@ def renumber_bfs(g: ControlGraph) -> ControlGraph:
 
     Successors are visited in action order with payload-content ties (or
     old ids when payloads are gone), so the numbering depends only on the
-    graph's content, not on the order of its transitions; a tie's key is
-    taken only for unnumbered successors of one action, once per state.
-    Unreachable states are dropped.  Every graph the pipeline returns is
-    numbered so; the compiler's closures emit this order directly.
+    graph's content, not on the order of its transitions.  A run is keyed
+    only when two or more of its successors have no number yet, each state
+    at most once.  Unreachable states are dropped.  Every graph the
+    pipeline returns is numbered so; the closures emit this order directly.
     """
     return number_bfs(g, g.init, g.outgoing().__getitem__)
 

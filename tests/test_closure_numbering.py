@@ -2,11 +2,12 @@
 
 ``_closure`` numbers states as it meets them, successors in action order
 and ties by ``state_key``, which is the order of ``renumber_bfs``: so
-renumbering a closure's graph must leave it as it is.  Both take the key
-only on ties, so each graph, and every stage that keeps payloads, is
-also checked against ``oracles.reference_renumber_bfs``, which keys
-every successor.  One build numbers each residual once, so no two states
-share a payload and equal residuals in one graph are one object.
+renumbering a closure's graph must leave it as it is.  Both key a run
+of one action only when two or more of its successors have no number
+yet, so each graph, and every stage that keeps payloads, is also checked
+against ``oracles.reference_renumber_bfs``, which keys every successor.
+One build numbers each residual once, so no two states share a payload
+and equal residuals in one graph are one object.
 """
 
 import pytest
