@@ -39,15 +39,14 @@ from .control import (
     Action,
     ControlGraph,
     LinkMap,
-    TAU,
-    Tau,
     action_of,
     action_priority,
+    action_table,
     bfs_order,
     eval_join,
     find_cycle,
     initial_link_map,
-    sorted_transitions,
+    join_holds,
     state_key,
 )
 from .syntax import (
@@ -61,10 +60,12 @@ from .syntax import (
     Rep,
     Seq,
     Ses,
+    TRUE,
     Unf,
     all_sources,
     all_targets,
     structure_key,
+    subacts,
 )
 from .wellformed import desugar_seq
 
@@ -85,16 +86,27 @@ class _Build:
     numbers), an unfolding by (number of the repeat it unfolds, its
     body's number), any other node, which is a part of the input tree,
     by value.  So equal residuals are one number and one object, and a
-    derived residual is built only when its key is new.  With ``drop``
-    set, a flow's child that steps to nil leaves the flow in that step.
+    derived residual is built only when its key is new.  Actions are
+    numbered by the action table of ``root``'s atoms.  With ``drop`` set,
+    a flow's child that steps to nil leaves the flow in that step.
     """
 
-    def __init__(self, c: LinkMap, drop: bool = False):
+    def __init__(self, c: LinkMap, root: Activity, drop: bool = False):
         self.drop = drop
         self.maps, self.map_nos, self.links = [c], {c.codes: 0}, {}
         self.nodes, self.keys, self.node_nos, self.fields = [], [], {}, {}
-        self.picks, self.steps = {}, {}  # per pick its parts; the memo of _derive
+        self.picks, self.steps, self.joins = {}, {}, {}  # per pick its parts; _derive's memo
+        self.actions = action_table(filter(None, map(action_of, subacts(root).values())))
+        self.ids, self.index = {a: i for i, a in enumerate(self.actions)}, c.index
         self.nil = self.number(NIL)
+
+    def join(self, r: int) -> tuple:
+        """Node ``r``'s targets' positions, join and action id; its contract checked."""
+        act = self.nodes[r]
+        eval_join(self.maps[0], act.jcd, act.tgt)  # raises on a link outside the targets
+        targets = tuple(self.index[link] for link in act.tgt)
+        self.joins[r] = join = (targets, act.jcd, self.ids.get(action_of(act)))
+        return join
 
     def control(self, act: Activity) -> int:
         """The number of ``act``'s control fields, as a flow's."""
@@ -115,12 +127,13 @@ class _Build:
             self.keys.append(key)
         return self.node_nos[key]
 
-    def flow(self, like: Activity, ctl: int, kids: tuple[int, ...]) -> int:
-        """The flow of ``kids`` with ``like``'s control fields, numbered ``ctl``."""
+    def flow(self, r: int, ctl: int, kids: tuple[int, ...]) -> int:
+        """The flow of ``kids`` with node ``r``'s control fields (and join), numbered ``ctl``."""
         no = self.node_nos.get((ctl, kids))
         if no is None:
-            children = tuple(map(self.nodes.__getitem__, kids))
+            like, children = self.nodes[r], tuple(map(self.nodes.__getitem__, kids))
             no = self.number(Flo(children, like.tgt, like.src, like.jcd, like.lnk), (ctl, kids))
+            self.joins[no] = self.joins.get(r)
         return no
 
     def unfold(self, rep: int, body: int) -> int:
@@ -129,6 +142,7 @@ class _Build:
             r = self.nodes[rep]
             node = Unf(self.nodes[body], r.do_pic, r.until_pic, r.tgt, r.src, r.jcd)
             no = self.number(node, (rep, body))
+            self.joins[no] = self.joins.get(rep)
         return no
 
     def set_links(self, m: int, value, links) -> int:
@@ -147,7 +161,7 @@ class _Build:
             act, parts = self.nodes[r], []
             sources = all_sources(act, strict=True)
             for head, cont in act.branches:
-                wrap = self.flow(act, self.control(act), (self.number(cont),))
+                wrap = self.flow(r, self.control(act), (self.number(cont),))
                 cancelled = sources - all_sources(head) - all_sources(cont)
                 parts.append((self.number(head), wrap, cancelled))
             self.picks[r] = parts
@@ -158,13 +172,13 @@ def enabled_steps(c: LinkMap, act: Activity) -> list[tuple[Action, LinkMap, Acti
     """Every derivable transition from (c, act), deduplicated, ordered by
     action, then by the successor's ``state_key``, which is taken only for
     the successors of an action with more than one step."""
-    b = _Build(c)
+    b = _Build(c, act)
     edges = [(a, (b.maps[m], b.nodes[r])) for a, m, r in _derive(b, 0, b.number(act))]
-    return [(a, *succ) for a, succ in bfs_order(edges, lambda _: False, state_key)]
+    return [(b.actions[a], *succ) for a, succ in bfs_order(edges, lambda _: False, state_key)]
 
 
-def _derive(b: _Build, m: int, r: int) -> tuple[tuple[Action, int, int], ...]:
-    """The steps ``(action, link map no., residual no.)`` of state (m, r).
+def _derive(b: _Build, m: int, r: int) -> tuple[tuple[int, int, int], ...]:
+    """The steps ``(action id, link map no., residual no.)`` of state (m, r).
 
     Memoized per build, as interleavings meet the same child states over
     and over; the lookup is inline, so the recursion takes one frame per level.
@@ -179,24 +193,25 @@ def _derive(b: _Build, m: int, r: int) -> tuple[tuple[Action, int, int], ...]:
     if isinstance(act, Seq):
         raise ValueError("sequences must be desugared before compilation")
 
-    verdict = eval_join(b.maps[m], act.jcd, act.tgt)
-    if verdict is None:
+    targets, jcd, aid = b.joins.get(r) or b.join(r)
+    codes = b.maps[m].codes
+    if not all(map(codes.__getitem__, targets)):  # an undefined target blocks the join
         b.steps[key] = ()
         return ()
     nil = b.nil
-    if verdict is False:
-        # Dead-path elimination cancels the whole subtree.
-        result = b.steps[key] = ((TAU, b.set_links(m, False, all_sources(act)), nil),)
+    if jcd is not TRUE and not join_holds(jcd, codes, b.index):
+        # Dead-path elimination cancels the whole subtree (τ is action 0).
+        result = b.steps[key] = ((0, b.set_links(m, False, all_sources(act)), nil),)
         return result
 
-    steps: list[tuple[Action, int, int]] = []
+    steps: list[tuple[int, int, int]] = []
     match act:
         case Ses() | Inv() | Rec():
-            steps.append((action_of(act), b.set_links(m, True, act.src), nil))
+            steps.append((aid, b.set_links(m, True, act.src), nil))
         case Flo():
             ctl, kids = b.keys[r]
             if kids == (nil,):
-                steps.append((TAU, b.set_links(m, True, act.src), nil))
+                steps.append((0, b.set_links(m, True, act.src), nil))
             else:
                 # Leaving a finished child out in its own step takes the
                 # silent drop of its nil at once, so the endpoint stays
@@ -206,11 +221,11 @@ def _derive(b: _Build, m: int, r: int) -> tuple[tuple[Action, int, int], ...]:
                     if kid == nil:
                         # Dropping either of two adjacent nils gives one successor.
                         if not (i and kids[i - 1] == nil):
-                            steps.append((TAU, m, b.flow(act, ctl, kids[:i] + kids[i + 1 :])))
+                            steps.append((0, m, b.flow(r, ctl, kids[:i] + kids[i + 1 :])))
                         continue
                     for action, m2, r2 in _derive(b, m, kid):
                         kid2 = () if drop and r2 == nil else (r2,)
-                        succ = b.flow(act, ctl, kids[:i] + kid2 + kids[i + 1 :])
+                        succ = b.flow(r, ctl, kids[:i] + kid2 + kids[i + 1 :])
                         steps.append((action, m2, succ))
         case Pic():
             for head, wrap, cancelled in b.pick(r):
@@ -225,13 +240,13 @@ def _derive(b: _Build, m: int, r: int) -> tuple[tuple[Action, int, int], ...]:
             for action, m2, r2 in _derive(b, m, b.number(act.do_pic)):
                 steps.append((action, m2, b.unfold(r, r2)))
             for action, m2, r2 in _derive(b, m, b.number(act.until_pic)):
-                steps.append((action, m2, b.flow(act, b.control(act), (r2,))))
+                steps.append((action, m2, b.flow(r, b.control(act), (r2,))))
         case Unf(do_pic=do):
             rep, body = b.keys[r]
             if body == nil:
                 m2 = b.set_links(m, None, all_sources(do, strict=True))
                 m2 = b.set_links(m2, None, all_targets(do, strict=True))
-                steps.append((TAU, b.set_links(m2, True, do.src), rep))
+                steps.append((0, b.set_links(m2, True, do.src), rep))
             else:
                 for action, m2, r2 in _derive(b, m, body):
                     steps.append((action, m2, b.unfold(rep, r2)))
@@ -261,7 +276,7 @@ def _closure(act: Activity, max_states: int, stage: str) -> ControlGraph:
     """
     root = desugar_seq(act)
     compressing = stage in ("compress", "rtc")
-    b = _Build(initial_link_map(root), drop=compressing)
+    b = _Build(initial_link_map(root), root, drop=compressing)
     ends: dict[State, State] = {}
 
     def normal_form(state: State) -> State:
@@ -273,13 +288,11 @@ def _closure(act: Activity, max_states: int, stage: str) -> ControlGraph:
         endpoint; the cap counts all of them, so a silent loop stops at
         the cap instead of spinning.
         """
-        if not compressing:
-            return state
         path = []
         while state not in ends:
             if len(ends) + len(path) >= max_states:
                 raise StateCapExceeded(max_states)
-            silent = next((step[1:] for step in _derive(b, *state) if step[0] is TAU), None)
+            silent = next((step[1:] for step in _derive(b, *state) if not step[0]), None)
             if silent is None:
                 ends[state] = state
                 break
@@ -288,33 +301,38 @@ def _closure(act: Activity, max_states: int, stage: str) -> ControlGraph:
         ends.update(dict.fromkeys(path, ends[state]))
         return ends[state]
 
-    states: list[State] = [normal_form((0, b.number(root)))]
+    start = (0, b.number(root))
+    states: list[State] = [normal_form(start) if compressing else start]
     index: dict[State, int] = {states[0]: 0}
-    transitions: list[tuple[int, Action, int]] = []
+    transitions: list[tuple[int, int, int]] = []
     tie = lambda s: (b.maps[s[0]].sort_key(), structure_key(b.nodes[s[1]]))
+    rank = list(map(action_priority, b.actions))
     for sid, state in enumerate(states):  # the queue: found states are appended
         steps = _derive(b, *state)
         if stage == "prio":  # a compressing closure's states have no silent step
-            steps = [s for s in steps if s[0] is TAU] or steps
+            steps = [s for s in steps if not s[0]] or steps
         elif stage == "rtc" and steps:
-            top = max(action_priority(s[0]) for s in steps)
-            steps = [s for s in steps if action_priority(s[0]) == top]
-        edges = []  # a loop, not a comprehension: one frame less above normal_form
-        for step in steps:
-            edges.append((step[0], normal_form(step[1:])))
-        if compressing:  # steps of one action may meet at one endpoint
-            edges = list(dict.fromkeys(edges))
-        for action, succ in bfs_order(edges, index.__contains__, tie):
+            top = max(rank[s[0]] for s in steps)
+            steps = [s for s in steps if rank[s[0]] == top]
+        if compressing:
+            edges = []  # a loop, not a comprehension: one frame less above normal_form
+            for step in steps:
+                edges.append((step[0], normal_form(step[1:])))
+            edges = list(dict.fromkeys(edges))  # steps of one action may meet at one endpoint
+        else:
+            edges = [(step[0], step[1:]) for step in steps]
+        for a, succ in bfs_order(edges, index.__contains__, tie):
             if succ not in index:
                 if len(states) >= max_states:
                     raise StateCapExceeded(max_states)
                 index[succ] = len(states)
                 states.append(succ)
-            transitions.append((sid, action, index[succ]))
+            transitions.append((sid, a, index[succ]))
 
     b.steps.clear()  # free the derivations before the payloads and the sort allocate
     payloads = tuple((b.maps[m], b.nodes[r]) for m, r in states)
-    return ControlGraph(len(states), 0, sorted_transitions(transitions), payloads)
+    transitions.sort()
+    return ControlGraph(len(states), 0, tuple(transitions), payloads, b.actions)
 
 
 def build_raw_cg(act: Activity, max_states: int = DEFAULT_STATE_CAP) -> ControlGraph:
@@ -386,8 +404,8 @@ def _upper_bound(node: Activity) -> int:
 def find_tau_cycle(g: ControlGraph) -> list[int] | None:
     """A cycle made only of silent transitions, or None."""
     tau_out: dict[int, list[int]] = {}
-    for frm, action, to in g.transitions:
-        if type(action) is Tau:
+    for frm, a, to in g.edges:
+        if not a:  # τ is action 0
             tau_out.setdefault(frm, []).append(to)
     return find_cycle(sorted(tau_out), tau_out)
 
@@ -414,34 +432,34 @@ def find_confluence_violation(g: ControlGraph):
     target's successors grouped by action, kept only until its last silent
     predecessor is scanned, so large graphs do not hold a group per state.
     """
-    out = g.outgoing()
+    out = g.edge_rows()
     unscanned = [0] * g.num_states  # silent predecessors not yet scanned
-    for _, action, to in g.transitions:
-        if type(action) is Tau:
+    for _, a, to in g.edges:
+        if not a:  # τ is action 0
             unscanned[to] += 1
     silent: list[frozenset[int] | None] = [None] * g.num_states
-    after: dict[int, dict[Action, list[int]]] = {}
+    after: dict[int, dict[int, list[int]]] = {}
     for state in g.states:
         edges = out[state]
-        for g1 in [to for action, to in edges if type(action) is Tau]:
+        for g1 in [to for a, to in edges if not a]:
             unscanned[g1] -= 1
             moves = after.get(g1) if unscanned[g1] else after.pop(g1, None)
             if moves is None:
                 moves = {}
-                for action, target in out[g1]:
-                    moves.setdefault(action, []).append(target)
+                for a, target in out[g1]:
+                    moves.setdefault(a, []).append(target)
                 if unscanned[g1]:
                     after[g1] = moves
-            for action, g2 in edges:
-                if g2 == g1 and type(action) is Tau:
+            for a, g2 in edges:
+                if g2 == g1 and not a:
                     continue
                 closing = silent[g2]
                 if closing is None:
                     closing = silent[g2] = (
-                        frozenset(to for a, to in out[g2] if type(a) is Tau) or _NO_TARGETS
+                        frozenset(to for b, to in out[g2] if not b) or _NO_TARGETS
                     )
-                if closing.isdisjoint(moves.get(action, ())):
-                    return (state, g1, action, g2)
+                if closing.isdisjoint(moves.get(a, ())):
+                    return (state, g1, g.actions[a], g2)
     return None
 
 
@@ -457,14 +475,12 @@ def confluence_problem(g: ControlGraph) -> str | None:
 
 def find_sink_shape_violation(g: ControlGraph):
     """Sinks must hold a nil residual and every state must reach a sink."""
-    if g.payloads is not None:
-        for state in g.sinks():
-            _, residual = g.payloads[state]
-            if not isinstance(residual, Nil):
-                return ("non-nil sink", state)
     reaches = g.sinks()
+    for state in reaches if g.payloads is not None else ():
+        if not isinstance(g.payloads[state][1], Nil):
+            return ("non-nil sink", state)
     incoming: dict[int, set[int]] = {}
-    for frm, _, to in g.transitions:
+    for frm, _, to in g.edges:
         incoming.setdefault(to, set()).add(frm)
     seen = set(reaches)
     for node in reaches:  # grows while it is walked: breadth first
@@ -472,10 +488,7 @@ def find_sink_shape_violation(g: ControlGraph):
             if prev not in seen:
                 seen.add(prev)
                 reaches.append(prev)
-    for state in g.states:
-        if state not in seen:
-            return ("sink unreachable from state", state)
-    return None
+    return next((("sink unreachable from state", s) for s in g.states if s not in seen), None)
 
 
 def check_raw_properties(act: Activity, g: ControlGraph) -> list[str]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from typing import NamedTuple
 
@@ -86,14 +87,6 @@ def initial_link_map(act: Activity) -> LinkMap:
     return LinkMap.of(dict.fromkeys(all_links(act)))
 
 
-def _join_links_cached(expr: JoinExpr) -> frozenset[str]:
-    links = expr.__dict__.get("_links")
-    if links is None:
-        links = join_links(expr)
-        object.__setattr__(expr, "_links", links)
-    return links
-
-
 def eval_join(c: LinkMap, expr: JoinExpr, targets) -> LinkValue:
     """Evaluate a join condition over the given incoming-link set.
 
@@ -101,7 +94,7 @@ def eval_join(c: LinkMap, expr: JoinExpr, targets) -> LinkValue:
     undefined, even if the expression does not mention it.  Referencing a
     link outside the incoming set is a contract violation.
     """
-    stray = _join_links_cached(expr) - frozenset(targets)
+    stray = join_links(expr) - frozenset(targets)
     if stray:
         raise ValueError(
             "join condition references links outside the tgt set: "
@@ -111,10 +104,10 @@ def eval_join(c: LinkMap, expr: JoinExpr, targets) -> LinkValue:
     for link in targets:
         if codes[index[link]] == 0:
             return None
-    return _ev(expr, codes, index)
+    return join_holds(expr, codes, index)
 
 
-def _ev(e: JoinExpr, codes, index) -> bool:
+def join_holds(e: JoinExpr, codes, index) -> bool:
     """``e``'s value over defined links; a module-level recursion, unlike a
     self-naming closure, leaves no reference cycle behind per call."""
     match e:
@@ -123,11 +116,11 @@ def _ev(e: JoinExpr, codes, index) -> bool:
         case LinkRef(name):
             return codes[index[name]] == 2
         case And(left, right):
-            return _ev(left, codes, index) and _ev(right, codes, index)
+            return join_holds(left, codes, index) and join_holds(right, codes, index)
         case Or(left, right):
-            return _ev(left, codes, index) or _ev(right, codes, index)
+            return join_holds(left, codes, index) or join_holds(right, codes, index)
         case Not(operand):
-            return not _ev(operand, codes, index)
+            return not join_holds(operand, codes, index)
     raise TypeError(f"not a join expression: {e!r}")
 
 
@@ -237,6 +230,11 @@ Transition = tuple[int, Action, int]
 Payload = tuple[LinkMap, Activity]
 
 
+def action_table(actions) -> tuple[Action, ...]:
+    """τ and the distinct ``actions``, sorted by ``sort_key``: τ, the least, is 0."""
+    return tuple(sorted({TAU, *actions}, key=lambda a: a.sort_key()))
+
+
 class StateEdges(NamedTuple):
     """The outgoing edges of one state, sorted by ``(action.sort_key(), to)``.
 
@@ -264,25 +262,47 @@ class SlotTable(NamedTuple):
     rows: tuple[StateEdges, ...]
 
 
-@dataclass(frozen=True)
 class ControlGraph:
-    """Labelled transition system over symbolic actions.
+    """Labelled transition system over symbolic actions; immutable.
 
     States are ``0..num_states-1``; raw graphs keep the (link map,
     residual activity) payload per state, transformed graphs may drop it.
+    ``actions`` is the graph's action table (``action_table``), so an
+    action's id, its position, orders as the action does and τ is 0.
+    ``edges`` holds the transitions as ``(from, action id, to)`` triples;
+    every graph of the pipeline keeps them sorted, which is action order,
+    and shares its input's table, which may list actions no edge carries.
+    ``transitions``, the same triples with actions, is built on first read.
     """
 
-    num_states: int
-    init: int
-    transitions: tuple[Transition, ...]
-    payloads: tuple[Payload, ...] | None = None
+    def __init__(self, num_states: int, init: int, transitions, payloads=None, actions=None):
+        """Given ``actions``, a table, ``transitions`` are ``edges``."""
+        if actions is None:
+            self.transitions = transitions = tuple(transitions)
+            actions = action_table(a for _, a, _ in transitions)
+            ids = {a: i for i, a in enumerate(actions)}
+            transitions = tuple((frm, ids[a], to) for frm, a, to in transitions)
+        self.num_states, self.init, self.actions, self.edges, self.payloads = (
+            num_states, init, actions, transitions, payloads)
+
+    @cached_property
+    def transitions(self) -> tuple[Transition, ...]:
+        return tuple([(f, self.actions[a], to) for f, a, to in self.edges])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ControlGraph):
+            return NotImplemented
+        return (self.num_states, self.init) == (other.num_states, other.init) and (
+            self.edges == other.edges if self.actions == other.actions
+            else self.transitions == other.transitions) and self.payloads == other.payloads
+
+    @cached_property
+    def _hash(self) -> int:
+        h = list(map(hash, self.actions))  # not ids: equal graphs may have two tables
+        return hash((self.num_states, self.init, tuple([(f, h[a], t) for f, a, t in self.edges])))
 
     def __hash__(self) -> int:
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = hash((self.num_states, self.init, self.transitions))
-            object.__setattr__(self, "_h", h)
-        return h
+        return self._hash
 
     @property
     def states(self) -> range:
@@ -298,14 +318,16 @@ class ControlGraph:
         """
         tables = self.__dict__.setdefault("_slots", {})
         if names not in tables:
-            out = [sorted(row, key=lambda e: (e[0].sort_key(), e[1])) for row in self.outgoing()]
-            used = {v for row in out for a, _ in row for v, _, _ in occurrences(a)}
+            ids = {id(a): i for i, a in enumerate(self.actions)}  # outgoing() holds table entries
+            occs = {id(a): occurrences(a) for a in self.actions}
+            out = [sorted(row, key=lambda e: (ids[id(e[0])], e[1])) for row in self.outgoing()]
+            used = {v for row in out for a, _ in row for v, _, _ in occs[id(a)]}
             index = {name: i for i, name in enumerate(sorted(used.union(names)))}
             rows = []
             for row in out:
                 recvs = [a for a, _ in row if isinstance(a, Recv)]  # sorted by session variable
                 rows.append(StateEdges(
-                    tuple((a, to, tuple(index[v] for v, _, _ in occurrences(a))) for a, to in row),
+                    tuple((a, to, tuple(index[v] for v, _, _ in occs[id(a)])) for a, to in row),
                     tuple(
                         (s, index[s], frozenset((a.op, len(a.params)) for a in group))
                         for s, group in groupby(recvs, key=lambda a: a.s)
@@ -314,30 +336,33 @@ class ControlGraph:
             tables[names] = SlotTable(index, tuple(rows))
         return tables[names]
 
-    def outgoing(self) -> list[list[tuple[Action, int]]]:
-        table: list[list[tuple[Action, int]]] = [[] for _ in self.states]
-        for frm, action, to in self.transitions:
-            table[frm].append((action, to))
+    def edge_rows(self) -> list[list[tuple[int, int]]]:
+        """Per state, its ``(action id, to)`` edges in ``edges`` order."""
+        table: list[list[tuple[int, int]]] = [[] for _ in self.states]
+        for frm, a, to in self.edges:
+            table[frm].append((a, to))
         return table
+
+    def outgoing(self) -> list[list[tuple[Action, int]]]:
+        """Per state, its ``(action, to)`` edges in ``edges`` order; actions are table entries."""
+        actions = self.actions
+        return [[(actions[a], to) for a, to in row] for row in self.edge_rows()]
 
     def sinks(self) -> list[int]:
         has_out = [False] * self.num_states
-        for frm, _, _ in self.transitions:
+        for frm, _, _ in self.edges:
             has_out[frm] = True
         return [s for s in self.states if not has_out[s]]
 
     def without_payloads(self) -> "ControlGraph":
         if self.payloads is None:
             return self
-        return ControlGraph(self.num_states, self.init, self.transitions)
-
-
-def _transition_key(t: Transition) -> tuple:
-    return (t[0], t[1].sort_key(), t[2])
+        return ControlGraph(self.num_states, self.init, self.edges, actions=self.actions)
 
 
 def sorted_transitions(transitions) -> tuple[Transition, ...]:
-    return tuple(sorted(transitions, key=_transition_key))
+    g = ControlGraph(0, 0, transitions)
+    return ControlGraph(0, 0, tuple(sorted(g.edges)), actions=g.actions).transitions
 
 
 def state_key(payload: Payload) -> tuple:
@@ -347,18 +372,18 @@ def state_key(payload: Payload) -> tuple:
 
 
 def bfs_order(edges, numbered, tie):
-    """Yield a state's ``(action, to)`` edges in breadth-first visiting order.
+    """Yield a state's ``(action id, to)`` edges in breadth-first visiting order.
 
-    By action; a run of one action puts ``numbered`` successors first and
+    By action id; a run of one action puts ``numbered`` successors first and
     the others by ``tie(to)``, which numbers states as ordering every
     successor by ``tie`` would.  A run is keyed only when two or more of
     its successors have no number yet, as numbers follow only the order
     unnumbered successors are met; and only once the caller has numbered
     the runs before it, so ``tie`` is taken at most once per state.
     """
-    runs: dict[tuple, list] = {}
+    runs: dict[int, list] = {}
     for edge in edges:
-        runs.setdefault(edge[0].sort_key(), []).append(edge)
+        runs.setdefault(edge[0], []).append(edge)
     for key in sorted(runs):
         run = runs[key]
         if len(run) > 1 and sum(not numbered(e[1]) for e in run) > 1:
@@ -369,8 +394,9 @@ def bfs_order(edges, numbered, tie):
 def number_bfs(g: ControlGraph, init: int, edges) -> ControlGraph:
     """Number the states reachable from ``init`` over ``edges`` breadth first.
 
-    ``edges(state)`` lists a state's ``(action, to)`` pairs.  Successors
-    are visited in action order, ties broken by ``state_key`` of ``g``'s
+    ``edges(state)`` lists a state's ``(action id, to)`` pairs over ``g``'s
+    table, which the result shares.  Successors are visited in action
+    order, ties broken by ``state_key`` of ``g``'s
     payloads (by state id when it has none).  A run is keyed only when two
     or more of its successors have no number yet (``bfs_order``); the
     result holds the visited states' edges and payloads, renumbered.
@@ -380,13 +406,14 @@ def number_bfs(g: ControlGraph, init: int, edges) -> ControlGraph:
     order: dict[int, int] = {init: 0}
     transitions = []
     for frm, state in enumerate(states):  # the queue: found states are appended
-        for action, to in bfs_order(edges(state), order.__contains__, tie):
+        for a, to in bfs_order(edges(state), order.__contains__, tie):
             if to not in order:
                 order[to] = len(states)
                 states.append(to)
-            transitions.append((frm, action, order[to]))
+            transitions.append((frm, a, order[to]))
+    transitions.sort()
     payloads = None if g.payloads is None else tuple(map(g.payloads.__getitem__, states))
-    return ControlGraph(len(states), 0, sorted_transitions(transitions), payloads)
+    return ControlGraph(len(states), 0, tuple(transitions), payloads, g.actions)
 
 
 def renumber_bfs(g: ControlGraph) -> ControlGraph:
@@ -399,7 +426,7 @@ def renumber_bfs(g: ControlGraph) -> ControlGraph:
     at most once.  Unreachable states are dropped.  Every graph the
     pipeline returns is numbered so; the closures emit this order directly.
     """
-    return number_bfs(g, g.init, g.outgoing().__getitem__)
+    return number_bfs(g, g.init, g.edge_rows().__getitem__)
 
 
 def find_cycle(starts, successors) -> list | None:

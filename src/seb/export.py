@@ -3,7 +3,7 @@
 The ``.aut`` header is ``des (init, #transitions, #states)`` followed by
 one ``(from, "label", to)`` line per transition.  Silent transitions are
 written ``i`` in ``.aut`` (the usual LTS-toolset convention) and ``τ`` in
-DOT.
+DOT.  Each entry of a graph's action table is rendered once.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from .control import ControlGraph
 
 
 def to_aut(g: ControlGraph) -> str:
-    lines = [f"des ({g.init}, {len(g.transitions)}, {g.num_states})"]
-    for frm, action, to in g.transitions:
-        lines.append(f'({frm}, "{action.render(tau="i")}", {to})')
+    labels = [action.render(tau="i") for action in g.actions]
+    lines = [f"des ({g.init}, {len(g.edges)}, {g.num_states})"]
+    lines += [f'({frm}, "{labels[a]}", {to})' for frm, a, to in g.edges]
     return "\n".join(lines) + "\n"
 
 
@@ -39,7 +39,7 @@ def to_dot(g: ControlGraph) -> str:
                 label += "\\n" + ",".join(links)
         attrs.append(f'label="{label}"')
         lines.append(f"  s{state} [{', '.join(attrs)}];")
-    for frm, action, to in g.transitions:
-        lines.append(f'  s{frm} -> s{to} [label="{action.render()}"];')
+    labels = [action.render() for action in g.actions]
+    lines += [f'  s{frm} -> s{to} [label="{labels[a]}"];' for frm, a, to in g.edges]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -44,22 +44,19 @@ def _keep_highest(g: ControlGraph, rank) -> ControlGraph:
 
     States made unreachable by the pruning are dropped.
     """
-    out = g.outgoing()
+    out, ranks = g.edge_rows(), list(map(rank, g.actions))
 
     def highest(state: int) -> list:
-        best = max((rank(action) for action, _ in out[state]), default=None)
-        return [(a, to) for a, to in out[state] if rank(a) == best]
+        best = max((ranks[a] for a, _ in out[state]), default=None)
+        return [edge for edge in out[state] if ranks[edge[0]] == best]
 
     return number_bfs(g, g.init, highest)
 
 
 def _mixed_states(g: ControlGraph, rank) -> list[int]:
     """States whose outgoing transitions have more than one rank."""
-    return [
-        state
-        for state, edges in enumerate(g.outgoing())
-        if len({rank(action) for action, _ in edges}) > 1
-    ]
+    ranks = list(map(rank, g.actions))
+    return [s for s, edges in enumerate(g.edge_rows()) if len({ranks[a] for a, _ in edges}) > 1]
 
 
 _MIXED = "state {} mixes silent and observable transitions"
@@ -91,13 +88,13 @@ def tau_compress(g: ControlGraph) -> ControlGraph:
     problem = silent_cycle_problem(g) or (_MIXED.format(mixed[0]) if mixed else None)
     if problem is not None:
         raise TransformPreconditionError(f"tau_compress: {problem}")
-    out = g.outgoing()
+    out = g.edge_rows()
     ends: dict[int, int] = {}
 
     def endpoint(state: int) -> int:
         chased = []
         while state not in ends:
-            taus = [to for action, to in out[state] if type(action) is Tau]
+            taus = [to for a, to in out[state] if not a]  # τ is action 0
             if not taus:
                 ends[state] = state
                 break
@@ -109,7 +106,7 @@ def tau_compress(g: ControlGraph) -> ControlGraph:
     # An endpoint has no silent edge, the input being homogeneous; two of
     # its edges with one action may reach one endpoint, listed once.
     return number_bfs(g, endpoint(g.init), lambda state: dict.fromkeys(
-        (action, endpoint(to)) for action, to in out[state]
+        (a, endpoint(to)) for a, to in out[state]
     ))
 
 
@@ -128,13 +125,13 @@ def run_to_completion(g: ControlGraph) -> ControlGraph:
 
 def refine_partition(g: ControlGraph) -> list[int]:
     """Coarsest strong-bisimulation partition; returns block id per state."""
-    out = g.outgoing()
+    out = g.edge_rows()
     block = [0] * g.num_states
     while True:
         signatures: dict[tuple, int] = {}
         new_block = [0] * g.num_states
         for state in g.states:
-            sig_body = frozenset((action, block[to]) for action, to in out[state])
+            sig_body = frozenset((a, block[to]) for a, to in out[state])
             sig = (block[state], sig_body)
             if sig not in signatures:
                 signatures[sig] = len(signatures)
@@ -146,15 +143,14 @@ def refine_partition(g: ControlGraph) -> list[int]:
 
 def minimize(g: ControlGraph) -> ControlGraph:
     """Quotient by strong bisimulation; requires a silent-free graph."""
-    if any(type(action) is Tau for _, action, _ in g.transitions):
+    if any(not a for _, a, _ in g.edges):  # τ is action 0
         raise TransformPreconditionError(
             "minimize expects a graph without silent transitions"
         )
     block = refine_partition(g)
-    transitions = tuple({(block[f], a, block[t]) for f, a, t in g.transitions})
+    edges = tuple({(block[f], a, block[t]) for f, a, t in g.edges})
     n_blocks = max(block) + 1 if g.num_states else 0
-    quotient = ControlGraph(n_blocks, block[g.init], transitions)
-    return renumber_bfs(quotient)
+    return renumber_bfs(ControlGraph(n_blocks, block[g.init], edges, actions=g.actions))
 
 
 # --------------------------------------------------------------------------
@@ -181,7 +177,8 @@ def build_stages(
     also keeps a state's highest priority class as it expands it, so
     neither "prio" nor "compress" is built on the way.  Both routes give
     the same graphs (asserted in the tests).  Every stage keeps the
-    payloads it has.
+    payloads it has.  The raw route stops at "raw" when that graph has a
+    silent cycle, which no compression can chase to an end.
     """
     if upto not in STAGES:
         raise ValueError(f"unknown stage '{upto}', expected one of {STAGES}")
@@ -192,7 +189,10 @@ def build_stages(
         if last >= 1:
             stages["prio"] = _keep_highest(stages["raw"], _is_tau)
         if last >= 2:
-            stages["compress"] = tau_compress(stages["prio"])
+            try:
+                stages["compress"] = tau_compress(stages["prio"])
+            except TransformPreconditionError:  # a silent cycle: prio is homogeneous
+                return {"raw": stages["raw"]}
         if last >= 3:
             stages["rtc"] = run_to_completion(stages["compress"])
     elif upto == "prio":
@@ -222,16 +222,18 @@ def check_stage_invariants(
     """Verify each stage's structural guarantee.
 
     ``stages`` holds every stage of ``act``, as built by
-    ``build_stages(act, from_raw=True)``.
+    ``build_stages(act, from_raw=True)``: the raw graph alone when it has a
+    silent cycle, which is then the only stage reported.
     """
     reports = [StageReport("raw", tuple(check_raw_properties(act, stages["raw"])))]
+    if len(stages) == 1:
+        return reports
 
     problems = [_MIXED.format(state) for state in _mixed_states(stages["prio"], _is_tau)]
     reports.append(StageReport("prio", tuple(problems)))
 
-    problems = []
-    if any(type(a) is Tau for _, a, _ in stages["compress"].transitions):
-        problems.append("silent transition survived compression")
+    silent = any(not a for _, a, _ in stages["compress"].edges)  # τ is action 0
+    problems = ["silent transition survived compression"] if silent else []
     reports.append(StageReport("compress", tuple(problems)))
 
     problems = [
@@ -242,8 +244,7 @@ def check_stage_invariants(
 
     minimal = stages["min"]
     problems = []
-    block = refine_partition(minimal)
-    if len(set(block)) != minimal.num_states:
+    if len(set(refine_partition(minimal))) != minimal.num_states:
         problems.append("minimized graph still has equivalent states")
     if len(minimal.sinks()) != 1:
         problems.append(f"minimized graph has {len(minimal.sinks())} sinks")

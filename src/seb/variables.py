@@ -94,9 +94,8 @@ def free_vars_of_graph(g: ControlGraph) -> frozenset[str]:
     uses it, which makes the variable free.  A transition's uses count
     before its own bindings.  The cost is O(V·(S+E)) for V variables.
     """
-    out = [
-        [(occurrences(action), to) for action, to in edges] for edges in g.outgoing()
-    ]
+    occs = {id(a): occurrences(a) for a in g.actions}  # outgoing() holds table entries
+    out = [[(occs[id(action)], to) for action, to in edges] for edges in g.outgoing()]
     free: set[str] = set()
     for var in {v for edges in out for occs, _ in edges for v, _, _ in occs}:
         seen = {g.init}

@@ -194,6 +194,33 @@ def test_compile_check_properties(capsys):
     assert main(["compile", "corpus/pingpong_client.seb", "--check-properties"]) == 0
 
 
+# The do part is cancelled and its unfolding reset, silently and forever:
+# a raw graph with a silent cycle, from which no later stage can be built.
+SILENT_LOOP = "(rep (do (pic :jcd false (on (rec s b) (nil)))) (until (pic (on (rec s c) (nil)))))"
+
+
+@pytest.mark.parametrize("stage", ["min", "raw"])
+def test_check_properties_reports_a_silent_cycle_of_the_raw_graph(stage, tmp_path, capsys):
+    path = tmp_path / "loop.seb"  # not in fixtures/, which the golden tests glob
+    path.write_text(SILENT_LOOP)
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["compile", str(path), "--check-properties", "--stage", stage]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{path}: [raw] silent cycle through states [0, 1, 0]\n"
+        f"{path}: [raw] silent step at state 0 (to 1) does not commute with s?c() (to 2)\n"
+    )
+
+
+def test_fused_route_stops_a_silent_cycle_at_the_state_cap(tmp_path, capsys):
+    path = tmp_path / "loop.seb"
+    path.write_text(SILENT_LOOP)
+    assert main(["compile", str(path), "--max-states", "50"]) == 3
+    assert capsys.readouterr().err == "error: state count exceeded the safety cap of 50\n"
+
+
 def test_compile_output_file(tmp_path, capsys):
     out_path = tmp_path / "g.aut"
     assert (

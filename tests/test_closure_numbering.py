@@ -7,7 +7,9 @@ of one action only when two or more of its successors have no number
 yet, so each graph, and every stage that keeps payloads, is also checked
 against ``oracles.reference_renumber_bfs``, which keys every successor.
 One build numbers each residual once, so no two states share a payload
-and equal residuals in one graph are one object.
+and equal residuals in one graph are one object.  Every stage keeps its
+transitions as action ids over its action table; the action triples it
+shows must be what those ids stand for.
 """
 
 import pytest
@@ -18,7 +20,7 @@ from seb.compiler import (
     build_prioritized_cg,
     build_raw_cg,
 )
-from seb.control import renumber_bfs
+from seb.control import TAU, ControlGraph, renumber_bfs, sorted_transitions
 from seb.parser import parse_activity_file
 from seb.transforms import build_stages
 from seb.wellformed import validate_well_formed
@@ -138,3 +140,39 @@ def test_stages_of_generated_activities(from_raw):
 @WIDE
 def test_stages_of_wide_activities(make, from_raw):
     assert_stages_in_reference_order(make(200), from_raw)
+
+
+def assert_table_boundary(g):
+    """``g``'s transitions and rows by action agree with its ids and table."""
+    assert g.transitions == sorted_transitions(g.transitions)
+    rows = [[] for _ in g.states]
+    for frm, action, to in g.transitions:
+        rows[frm].append((action, to))
+    assert g.outgoing() == rows
+    again = ControlGraph(g.num_states, g.init, g.transitions, g.payloads)
+    assert again == g and g == again and hash(again) == hash(g)
+    keys = [action.sort_key() for action in g.actions]
+    assert g.actions[0] == TAU and all(x < y for x, y in zip(keys, keys[1:]))
+
+
+@pytest.mark.parametrize("path, from_raw", _stage_cases())
+def test_table_boundary_of_corpus_and_fixtures(path, from_raw):
+    for g in build_stages(parse_activity_file(path), from_raw=from_raw).values():
+        assert_table_boundary(g)
+
+
+@pytest.mark.parametrize("from_raw", [False, True], ids=["fused", "from-raw"])
+def test_table_boundary_of_generated_activities(from_raw):
+    built = 0
+    for seed in range(200):
+        act = random_activity(seed, depth=4)
+        if validate_well_formed(act):
+            continue
+        try:
+            stages = build_stages(act, from_raw=from_raw, max_states=5_000)
+        except StateCapExceeded:
+            continue
+        for g in stages.values():
+            assert_table_boundary(g)
+        built += 1
+    assert built >= 150

@@ -9,9 +9,10 @@ from seb.compiler import (
     enabled_steps,
     state_upper_bound,
 )
-from seb.control import LinkMap, Recv, Send, SesInit, TAU
+from seb.control import LinkMap, Recv, Send, SesInit, TAU, initial_link_map
 from seb.parser import parse_activity
-from seb.syntax import Flo, Inv, LinkRef, Nil, Pic, Rec, Rep, Unf
+from seb.syntax import And, Flo, Inv, LinkRef, Nil, Or, Pic, Rec, Rep, Unf
+from seb.transforms import STAGES, build_stages
 from seb.wellformed import desugar_seq
 
 from oracles import oracle_graph, pick_of_recs, random_activity
@@ -32,6 +33,35 @@ def test_false_join_triggers_dead_path_elimination():
     assert enabled_steps(c, act) == [
         (TAU, LinkMap.of({"l": False, "m": False}), Nil())
     ]
+
+
+# validate_well_formed rejects both: each names a link outside its tgt set.
+STRAY_AT_START = Flo(
+    (
+        Inv("s", "a", src=frozenset("l")),
+        Inv("s", "b", tgt=frozenset("l"), jcd=And(LinkRef("l"), LinkRef("m"))),
+    ),
+    lnk=frozenset("l"),
+)
+STRAY_LATER = Pic(
+    ((Rec("s", "a"), Inv("s", "b", tgt=frozenset("l"), jcd=Or(LinkRef("n"), LinkRef("m")))),)
+)
+
+
+@pytest.mark.parametrize("act, stray", [(STRAY_AT_START, "m"), (STRAY_LATER, "m, n")],
+                         ids=["at-start", "later"])
+def test_join_outside_the_targets_raises_when_its_node_is_derived(act, stray):
+    message = f"^join condition references links outside the tgt set: {stray}$"
+    for stage in STAGES:
+        for from_raw in (False, True):
+            with pytest.raises(ValueError, match=message):
+                build_stages(act, stage, from_raw=from_raw)
+    if act is STRAY_AT_START:
+        with pytest.raises(ValueError, match=message):
+            enabled_steps(initial_link_map(act), act)
+    else:  # only the pick's head is derived at the start
+        [(action, _, _)] = enabled_steps(initial_link_map(act), act)
+        assert action == Recv("s", "a")
 
 
 def test_undefined_join_blocks():

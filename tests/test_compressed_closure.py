@@ -25,7 +25,7 @@ from seb.compiler import (
     build_raw_cg,
     enabled_steps,
 )
-from seb.control import TAU, initial_link_map, renumber_bfs
+from seb.control import initial_link_map, renumber_bfs
 from seb.export import to_aut
 from seb.parser import parse_activity, parse_activity_file
 from seb.syntax import NIL, Flo, Inv
@@ -137,7 +137,7 @@ def test_silent_loop_stops_at_the_cap(monkeypatch):
 
     def looping_steps(build, m, r):
         assert next(calls) < 1000, "the chase kept stepping past its cap"
-        return ((TAU, m, build.number(other if build.nodes[r] == start else start)),)
+        return ((0, m, build.number(other if build.nodes[r] == start else start)),)  # τ's id
 
     monkeypatch.setattr(compiler, "_derive", looping_steps)
     with pytest.raises(StateCapExceeded):

@@ -16,6 +16,8 @@ import seb.compiler
 import seb.control
 import seb.transforms
 from seb.cli import main
+from seb.control import action_of
+from seb.export import to_aut
 from seb.compiler import (
     StateCapExceeded,
     build_compressed_cg,
@@ -23,9 +25,9 @@ from seb.compiler import (
     build_raw_cg,
 )
 from seb.parser import parse_activity_file
-from seb.syntax import Flo, Inv, to_source
-from seb.transforms import build_stages
-from seb.wellformed import validate_well_formed
+from seb.syntax import Flo, Inv, subacts, to_source
+from seb.transforms import build_stages, check_stage_invariants
+from seb.wellformed import desugar_seq, validate_well_formed
 
 from conftest import ROOT
 from oracles import linked_flo, pick_of_recs, random_activity, seq_of_invs
@@ -151,3 +153,36 @@ def test_compressing_closure_drops_a_finished_child_in_its_step():
     # the silent drop from it, passed through 3,840 states.
     g = build_compressed_cg(distinct_invs(10), max_states=1025)
     assert g.num_states == 1024
+
+
+@pytest.fixture
+def action_calls(monkeypatch):
+    """Counts the ``sort_key`` and ``render`` calls of the four action classes."""
+    tally: Counter[str] = Counter()
+    for cls in (seb.control.Tau, seb.control.SesInit, seb.control.Send, seb.control.Recv):
+        for name in ("sort_key", "render"):
+            def counted(self, *args, original=getattr(cls, name), name=name, **kwargs):
+                tally[name] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+    return tally
+
+
+def test_actions_are_ordered_and_rendered_once_per_table_entry(action_calls):
+    # Ordering and labelling transitions by their action objects took
+    # 181,952 sort_key calls (152,494 in the raw closures) and 90,976
+    # render calls over these 24 activities: a few per transition.
+    paths = sorted((ROOT / "bench/inputs/properties").glob("*.seb"))
+    assert len(paths) == 24
+    for path in paths:
+        act = parse_activity_file(path)
+        atoms = {action_of(sub) for sub in subacts(desugar_seq(act)).values()}
+        entries = len(atoms - {None}) + 1  # and τ
+        action_calls.clear()
+        stages = build_stages(act, from_raw=True)
+        check_stage_invariants(act, stages)
+        for g in stages.values():
+            to_aut(g)
+        assert action_calls["sort_key"] <= 2 * entries, path.name
+        assert action_calls["render"] <= len(stages) * entries + 1, path.name
