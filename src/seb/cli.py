@@ -24,7 +24,7 @@ from .configs import Exhausted, Unsafe, Verified, explore_safety, simulate
 from .export import to_aut, to_dot
 from .manifest import load_manifest
 from .parser import InputError, parse_activity_file
-from .transforms import STAGES, build_stages, check_stage_invariants
+from .transforms import STAGES, build_stages, check_properties
 from .variables import classify_occurrences, free_vars
 from .wellformed import validate_well_formed
 
@@ -83,21 +83,17 @@ def cmd_compile(args) -> int:
             print(f"{args.file}: {d}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
 
-    stages = build_stages(
-        act,
-        "min" if args.check_properties else args.stage,
-        from_raw=args.check_properties,
-        max_states=args.max_states,
-    )
-
     if args.check_properties:
+        stages, reports = check_properties(act, args.max_states)
         failed = False
-        for report in check_stage_invariants(act, stages):
+        for report in reports:
             for problem in report.problems:
                 failed = True
                 print(f"{args.file}: [{report.stage}] {problem}", file=sys.stderr)
         if failed:
             return EXIT_DIAGNOSTICS
+    else:
+        stages = build_stages(act, args.stage, max_states=args.max_states)
     graph = stages[args.stage]
     if not args.keep_payloads:
         graph = graph.without_payloads()

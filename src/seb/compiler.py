@@ -45,7 +45,6 @@ from .control import (
     bfs_order,
     eval_join,
     find_cycle,
-    initial_link_map,
     join_holds,
     state_key,
 )
@@ -64,6 +63,7 @@ from .syntax import (
     Unf,
     all_sources,
     all_targets,
+    fresh,
     structure_key,
     subacts,
 )
@@ -91,19 +91,23 @@ class _Build:
     a flow's child that steps to nil leaves the flow in that step.
     """
 
-    def __init__(self, c: LinkMap, root: Activity, drop: bool = False):
+    def __init__(self, c: LinkMap | None, root: Activity, drop: bool = False):
+        subs = subacts(root).values()  # one walk for the map and the table
+        if c is None:  # initial_link_map(root)
+            c = LinkMap.of(dict.fromkeys(set().union(*(s.src | s.tgt | s.lnk for s in subs))))
         self.drop = drop
         self.maps, self.map_nos, self.links = [c], {c.codes: 0}, {}
         self.nodes, self.keys, self.node_nos, self.fields = [], [], {}, {}
         self.picks, self.steps, self.joins = {}, {}, {}  # per pick its parts; _derive's memo
-        self.actions = action_table(filter(None, map(action_of, subacts(root).values())))
+        self.actions = action_table(filter(None, map(action_of, subs)))
         self.ids, self.index = {a: i for i, a in enumerate(self.actions)}, c.index
         self.nil = self.number(NIL)
 
     def join(self, r: int) -> tuple:
         """Node ``r``'s targets' positions, join and action id; its contract checked."""
         act = self.nodes[r]
-        eval_join(self.maps[0], act.jcd, act.tgt)  # raises on a link outside the targets
+        if act.jcd is not TRUE:  # which reads no link
+            eval_join(self.maps[0], act.jcd, act.tgt)  # raises on a link outside the targets
         targets = tuple(self.index[link] for link in act.tgt)
         self.joins[r] = join = (targets, act.jcd, self.ids.get(action_of(act)))
         return join
@@ -121,18 +125,20 @@ class _Build:
             elif isinstance(node, Unf):
                 rep = Rep(node.do_pic, node.until_pic, node.tgt, node.src, node.jcd)
                 key = (self.number(rep), self.number(node.body))
-        if key not in self.node_nos:
-            self.node_nos[key] = len(self.nodes)
+        no = self.node_nos.setdefault(key, len(self.nodes))
+        if no == len(self.nodes):
             self.nodes.append(node)
             self.keys.append(key)
-        return self.node_nos[key]
+        return no
 
     def flow(self, r: int, ctl: int, kids: tuple[int, ...]) -> int:
         """The flow of ``kids`` with node ``r``'s control fields (and join), numbered ``ctl``."""
         no = self.node_nos.get((ctl, kids))
         if no is None:
             like, children = self.nodes[r], tuple(map(self.nodes.__getitem__, kids))
-            no = self.number(Flo(children, like.tgt, like.src, like.jcd, like.lnk), (ctl, kids))
+            node = fresh(Flo, children=children, tgt=like.tgt, src=like.src, jcd=like.jcd,
+                         lnk=like.lnk)
+            no = self.number(node, (ctl, kids))
             self.joins[no] = self.joins.get(r)
         return no
 
@@ -140,7 +146,8 @@ class _Build:
         no = self.node_nos.get((rep, body))
         if no is None:
             r = self.nodes[rep]
-            node = Unf(self.nodes[body], r.do_pic, r.until_pic, r.tgt, r.src, r.jcd)
+            node = fresh(Unf, body=self.nodes[body], do_pic=r.do_pic, until_pic=r.until_pic,
+                         tgt=r.tgt, src=r.src, jcd=r.jcd)
             no = self.number(node, (rep, body))
             self.joins[no] = self.joins.get(rep)
         return no
@@ -205,9 +212,7 @@ def _derive(b: _Build, m: int, r: int) -> tuple[tuple[int, int, int], ...]:
         return result
 
     steps: list[tuple[int, int, int]] = []
-    match act:
-        case Ses() | Inv() | Rec():
-            steps.append((aid, b.set_links(m, True, act.src), nil))
+    match act:  # flows first: most steps are a flow's
         case Flo():
             ctl, kids = b.keys[r]
             if kids == (nil,):
@@ -216,17 +221,20 @@ def _derive(b: _Build, m: int, r: int) -> tuple[tuple[int, int, int], ...]:
                 # Leaving a finished child out in its own step takes the
                 # silent drop of its nil at once, so the endpoint stays
                 # (silent steps are confluent); a last child stays to tick.
-                drop = b.drop and len(kids) > 1
+                drop, memo, node_nos = b.drop and len(kids) > 1, b.steps, b.node_nos
                 for i, kid in enumerate(kids):
+                    before, after = kids[:i], kids[i + 1 :]
                     if kid == nil:
                         # Dropping either of two adjacent nils gives one successor.
                         if not (i and kids[i - 1] == nil):
-                            steps.append((0, m, b.flow(r, ctl, kids[:i] + kids[i + 1 :])))
+                            steps.append((0, m, b.flow(r, ctl, before + after)))
                         continue
-                    for action, m2, r2 in _derive(b, m, kid):
-                        kid2 = () if drop and r2 == nil else (r2,)
-                        succ = b.flow(r, ctl, kids[:i] + kid2 + kids[i + 1 :])
-                        steps.append((action, m2, succ))
+                    for action, m2, r2 in memo.get((m, kid)) or _derive(b, m, kid):
+                        kids2 = before + after if drop and r2 == nil else before + (r2,) + after
+                        succ = node_nos.get((ctl, kids2))
+                        steps.append((action, m2, b.flow(r, ctl, kids2) if succ is None else succ))
+        case Ses() | Inv() | Rec():
+            steps.append((aid, b.set_links(m, True, act.src), nil))
         case Pic():
             for head, wrap, cancelled in b.pick(r):
                 for action, m2, r2 in _derive(b, m, head):
@@ -276,7 +284,7 @@ def _closure(act: Activity, max_states: int, stage: str) -> ControlGraph:
     """
     root = desugar_seq(act)
     compressing = stage in ("compress", "rtc")
-    b = _Build(initial_link_map(root), root, drop=compressing)
+    b = _Build(None, root, drop=compressing)
     ends: dict[State, State] = {}
 
     def normal_form(state: State) -> State:
@@ -285,18 +293,18 @@ def _closure(act: Activity, max_states: int, stage: str) -> ControlGraph:
         Silent steps are confluent and terminate, so every silent path
         from a state ends in the same state (Newman's lemma), whichever
         step is taken.  ``ends`` maps each state passed through to that
-        endpoint; the cap counts all of them, so a silent loop stops at
-        the cap instead of spinning.
+        endpoint; the cap counts all of them.  A chase that meets a state
+        twice is in a silent loop, which only the cap would end: it raises at once.
         """
-        path = []
+        path: dict[State, None] = {}
         while state not in ends:
-            if len(ends) + len(path) >= max_states:
+            if state in path or len(ends) + len(path) >= max_states:
                 raise StateCapExceeded(max_states)
             silent = next((step[1:] for step in _derive(b, *state) if not step[0]), None)
             if silent is None:
                 ends[state] = state
                 break
-            path.append(state)
+            path[state] = None
             state = silent
         ends.update(dict.fromkeys(path, ends[state]))
         return ends[state]
@@ -419,12 +427,13 @@ def silent_cycle_problem(g: ControlGraph) -> str | None:
 _NO_TARGETS: frozenset[int] = frozenset()
 
 
-def find_confluence_violation(g: ControlGraph):
+def find_confluence_violation(g: ControlGraph, out=None):
     """Exhaustively check the one-step commutation of silent transitions.
 
     For every pair of distinct transitions g -τ-> g1 and g -σ-> g2 out of
     the same state there must be a state g' with g1 -σ-> g' and g2 -τ-> g'.
     Returns (state, g1, action, g2) for the first failure, else None.
+    ``out`` is ``g.edge_rows()``, built here when not given.
 
     The pair is joined when g1's σ-successors meet g2's silent successors.
     Both tables are filled on first use: a state's silent successors as a
@@ -432,7 +441,7 @@ def find_confluence_violation(g: ControlGraph):
     target's successors grouped by action, kept only until its last silent
     predecessor is scanned, so large graphs do not hold a group per state.
     """
-    out = g.edge_rows()
+    out = g.edge_rows() if out is None else out
     unscanned = [0] * g.num_states  # silent predecessors not yet scanned
     for _, a, to in g.edges:
         if not a:  # τ is action 0
@@ -463,9 +472,9 @@ def find_confluence_violation(g: ControlGraph):
     return None
 
 
-def confluence_problem(g: ControlGraph) -> str | None:
+def confluence_problem(g: ControlGraph, out=None) -> str | None:
     """The first silent step of ``g`` that does not commute, as a message, or None."""
-    violation = find_confluence_violation(g)
+    violation = find_confluence_violation(g, out)
     if violation is None:
         return None
     state, g1, action, g2 = violation
@@ -479,12 +488,12 @@ def find_sink_shape_violation(g: ControlGraph):
     for state in reaches if g.payloads is not None else ():
         if not isinstance(g.payloads[state][1], Nil):
             return ("non-nil sink", state)
-    incoming: dict[int, set[int]] = {}
+    incoming: list[list[int]] = [[] for _ in g.states]
     for frm, _, to in g.edges:
-        incoming.setdefault(to, set()).add(frm)
+        incoming[to].append(frm)
     seen = set(reaches)
     for node in reaches:  # grows while it is walked: breadth first
-        for prev in incoming.get(node, ()):
+        for prev in incoming[node]:
             if prev not in seen:
                 seen.add(prev)
                 reaches.append(prev)
@@ -493,11 +502,16 @@ def find_sink_shape_violation(g: ControlGraph):
 
 def check_raw_properties(act: Activity, g: ControlGraph) -> list[str]:
     """Violations of the structural guarantees of raw graphs, as messages."""
+    return _raw_problems(act, g, g.edge_rows(), silent_cycle_problem(g))
+
+
+def _raw_problems(act: Activity, g: ControlGraph, out, silent: str | None) -> list[str]:
+    """``check_raw_properties`` given ``g``'s edge rows and ``silent_cycle_problem(g)``."""
     problems = []
     bound = state_upper_bound(act)
     if g.num_states > bound:
         problems.append(f"state count {g.num_states} exceeds structural bound {bound}")
-    problems += filter(None, (silent_cycle_problem(g), confluence_problem(g)))
+    problems += filter(None, (silent, confluence_problem(g, out)))
     shape = find_sink_shape_violation(g)
     if shape is not None:
         problems.append(f"{shape[0]}: {shape[1]}")

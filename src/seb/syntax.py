@@ -170,6 +170,14 @@ class Unf(_Activity):
     jcd: JoinExpr = TRUE
 
 
+def fresh(cls: type, **fields) -> Activity:
+    """A ``cls`` node of ``fields``, all given, made without the frozen dataclass
+    ``__init__`` (one ``object.__setattr__`` per field): closures build many."""
+    node = object.__new__(cls)
+    node.__dict__.update(fields)
+    return node
+
+
 Activity = Nil | Ses | Inv | Rec | Seq | Flo | Pic | Rep | Unf
 
 NIL = Nil()

@@ -16,7 +16,6 @@ from .compiler import (
     build_compressed_cg,
     build_prioritized_cg,
     build_raw_cg,
-    check_raw_properties,
     confluence_problem,
     silent_cycle_problem,
 )
@@ -39,12 +38,12 @@ def _is_tau(action: Action) -> bool:
     return type(action) is Tau
 
 
-def _keep_highest(g: ControlGraph, rank) -> ControlGraph:
+def _keep_highest(g: ControlGraph, rank, out) -> ControlGraph:
     """Keep, at every state, only the outgoing transitions of highest rank.
 
-    States made unreachable by the pruning are dropped.
+    ``out`` is ``g.edge_rows()``; states made unreachable by the pruning are dropped.
     """
-    out, ranks = g.edge_rows(), list(map(rank, g.actions))
+    ranks = list(map(rank, g.actions))
 
     def highest(state: int) -> list:
         best = max((ranks[a] for a, _ in out[state]), default=None)
@@ -53,10 +52,10 @@ def _keep_highest(g: ControlGraph, rank) -> ControlGraph:
     return number_bfs(g, g.init, highest)
 
 
-def _mixed_states(g: ControlGraph, rank) -> list[int]:
-    """States whose outgoing transitions have more than one rank."""
+def _mixed_states(g: ControlGraph, rank, out) -> list[int]:
+    """States whose outgoing transitions (``out``, ``g.edge_rows()``) have more than one rank."""
     ranks = list(map(rank, g.actions))
-    return [s for s, edges in enumerate(g.edge_rows()) if len({ranks[a] for a, _ in edges}) > 1]
+    return [s for s, edges in enumerate(out) if len({ranks[a] for a, _ in edges}) > 1]
 
 
 _MIXED = "state {} mixes silent and observable transitions"
@@ -73,7 +72,7 @@ def tau_prioritize(g: ControlGraph) -> ControlGraph:
     problem = silent_cycle_problem(g) or confluence_problem(g)
     if problem is not None:
         raise TransformPreconditionError(f"tau_prioritize: {problem}")
-    return _keep_highest(g, _is_tau)
+    return _keep_highest(g, _is_tau, g.edge_rows())
 
 
 def tau_compress(g: ControlGraph) -> ControlGraph:
@@ -84,11 +83,16 @@ def tau_compress(g: ControlGraph) -> ControlGraph:
     (or sink) state; the chase follows the least-numbered successor, which
     reaches that endpoint deterministically.
     """
-    mixed = _mixed_states(g, _is_tau)
+    out = g.edge_rows()
+    mixed = _mixed_states(g, _is_tau, out)
     problem = silent_cycle_problem(g) or (_MIXED.format(mixed[0]) if mixed else None)
     if problem is not None:
         raise TransformPreconditionError(f"tau_compress: {problem}")
-    out = g.edge_rows()
+    return _compress(g, out)
+
+
+def _compress(g: ControlGraph, out) -> ControlGraph:
+    """``tau_compress`` of ``g``, with edge rows ``out``, its preconditions met."""
     ends: dict[int, int] = {}
 
     def endpoint(state: int) -> int:
@@ -116,7 +120,7 @@ def run_to_completion(g: ControlGraph) -> ControlGraph:
     Priority: silent > send > session-init > receive.  States made
     unreachable by the pruning are dropped.
     """
-    return _keep_highest(g, action_priority)
+    return _keep_highest(g, action_priority, g.edge_rows())
 
 
 # --------------------------------------------------------------------------
@@ -177,25 +181,16 @@ def build_stages(
     also keeps a state's highest priority class as it expands it, so
     neither "prio" nor "compress" is built on the way.  Both routes give
     the same graphs (asserted in the tests).  Every stage keeps the
-    payloads it has.  The raw route stops at "raw" when that graph has a
-    silent cycle, which no compression can chase to an end.
+    payloads it has.  The raw route stops at "raw" when the prioritized
+    graph has a silent cycle, which no compression can chase to an end.
     """
     if upto not in STAGES:
         raise ValueError(f"unknown stage '{upto}', expected one of {STAGES}")
     last = STAGES.index(upto)
-    stages: dict[str, ControlGraph] = {}
     if from_raw or upto == "raw":
-        stages["raw"] = build_raw_cg(act, max_states)
-        if last >= 1:
-            stages["prio"] = _keep_highest(stages["raw"], _is_tau)
-        if last >= 2:
-            try:
-                stages["compress"] = tau_compress(stages["prio"])
-            except TransformPreconditionError:  # a silent cycle: prio is homogeneous
-                return {"raw": stages["raw"]}
-        if last >= 3:
-            stages["rtc"] = run_to_completion(stages["compress"])
-    elif upto == "prio":
+        return _raw_route(act, last, max_states)[0]
+    stages: dict[str, ControlGraph] = {}
+    if upto == "prio":
         stages["prio"] = build_prioritized_cg(act, max_states)
     elif upto == "compress":
         stages["compress"] = build_compressed_cg(act, max_states)
@@ -204,6 +199,28 @@ def build_stages(
     if last >= 4:
         stages["min"] = minimize(stages["rtc"])
     return stages
+
+
+def _raw_route(act: Activity, last: int, max_states: int) -> tuple[dict, tuple | None]:
+    """The raw route's stages up to ``STAGES[last]`` and what checking them reuses:
+    raw's edge rows and silent cycle and prio's edge rows, each found once."""
+    raw = build_raw_cg(act, max_states)
+    if last == 0:
+        return {"raw": raw}, None
+    out, silent = raw.edge_rows(), silent_cycle_problem(raw)
+    prio = _keep_highest(raw, _is_tau, out)
+    stages, scans = {"raw": raw, "prio": prio}, (out, silent, prio.edge_rows())
+    if last >= 2:
+        # Prio's silent edges are raw's, so only a raw silent cycle can leave
+        # one in prio; prio is homogeneous, so only that stops compression.
+        if silent is not None and silent_cycle_problem(prio) is not None:
+            return {"raw": raw}, scans
+        stages["compress"] = _compress(prio, scans[2])
+    if last >= 3:
+        stages["rtc"] = run_to_completion(stages["compress"])
+    if last >= 4:
+        stages["min"] = minimize(stages["rtc"])
+    return stages, scans
 
 
 # --------------------------------------------------------------------------
@@ -225,11 +242,25 @@ def check_stage_invariants(
     ``build_stages(act, from_raw=True)``: the raw graph alone when it has a
     silent cycle, which is then the only stage reported.
     """
-    reports = [StageReport("raw", tuple(check_raw_properties(act, stages["raw"])))]
+    raw = stages["raw"]
+    return _stage_reports(act, stages, raw.edge_rows(), silent_cycle_problem(raw))
+
+
+def check_properties(act: Activity, max_states: int = DEFAULT_STATE_CAP):
+    """``build_stages(act, from_raw=True)`` and its ``check_stage_invariants`` as
+    ``(stages, reports)``, the checks reusing the route's scans (``_raw_route``)."""
+    stages, scans = _raw_route(act, STAGES.index("min"), max_states)
+    return stages, _stage_reports(act, stages, *scans)
+
+
+def _stage_reports(act: Activity, stages: dict, out, cycle, prio_out=None) -> list[StageReport]:
+    """``check_stage_invariants`` given raw's edge rows and silent cycle and prio's rows."""
+    reports = [StageReport("raw", tuple(compiler._raw_problems(act, stages["raw"], out, cycle)))]
     if len(stages) == 1:
         return reports
 
-    problems = [_MIXED.format(state) for state in _mixed_states(stages["prio"], _is_tau)]
+    prio_out = stages["prio"].edge_rows() if prio_out is None else prio_out
+    problems = [_MIXED.format(s) for s in _mixed_states(stages["prio"], _is_tau, prio_out)]
     reports.append(StageReport("prio", tuple(problems)))
 
     silent = any(not a for _, a, _ in stages["compress"].edges)  # τ is action 0
@@ -238,7 +269,7 @@ def check_stage_invariants(
 
     problems = [
         f"state {state} keeps several priority classes"
-        for state in _mixed_states(stages["rtc"], action_priority)
+        for state in _mixed_states(stages["rtc"], action_priority, stages["rtc"].edge_rows())
     ]
     reports.append(StageReport("rtc", tuple(problems)))
 

@@ -20,6 +20,10 @@ RAW_TOO_LARGE = frozenset({
     "fixtures/qc5/client.seb",
 })
 
+# The do part is cancelled and its unfolding reset, silently and forever:
+# a raw graph with a silent cycle, from which no later stage can be built.
+SILENT_LOOP = "(rep (do (pic :jcd false (on (rec s b) (nil)))) (until (pic (on (rec s c) (nil)))))"
+
 from seb.parser import parse_activity_file  # noqa: E402
 
 

@@ -11,7 +11,7 @@ from seb.manifest import ManifestError, load_manifest
 from seb.parser import parse_activity_file
 from seb.transforms import STAGES, build_stages
 
-from conftest import ROOT
+from conftest import ROOT, SILENT_LOOP
 
 
 def run_cli(*args, cwd=ROOT, hash_seed=None):
@@ -192,11 +192,6 @@ def test_compile_invalid_input_exit_one():
 
 def test_compile_check_properties(capsys):
     assert main(["compile", "corpus/pingpong_client.seb", "--check-properties"]) == 0
-
-
-# The do part is cancelled and its unfolding reset, silently and forever:
-# a raw graph with a silent cycle, from which no later stage can be built.
-SILENT_LOOP = "(rep (do (pic :jcd false (on (rec s b) (nil)))) (until (pic (on (rec s c) (nil)))))"
 
 
 @pytest.mark.parametrize("stage", ["min", "raw"])

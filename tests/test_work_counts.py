@@ -29,7 +29,7 @@ from seb.syntax import Flo, Inv, subacts, to_source
 from seb.transforms import build_stages, check_stage_invariants
 from seb.wellformed import desugar_seq, validate_well_formed
 
-from conftest import ROOT
+from conftest import ROOT, SILENT_LOOP
 from oracles import linked_flo, pick_of_recs, random_activity, seq_of_invs
 
 
@@ -75,6 +75,53 @@ def test_compile_runs_one_closure(flags, closures, confluence, calls, tmp_path):
 def test_check_runs_one_closure_per_activity(manifest, activities, calls):
     assert main(["check", str(ROOT / manifest), "--max-configs", "10"]) == 4
     assert calls == Counter(closure=activities)
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Counts ``ControlGraph.edge_rows`` calls and silent-cycle searches."""
+    tally: Counter[str] = Counter()
+    rows, search = seb.control.ControlGraph.edge_rows, seb.compiler.find_tau_cycle
+
+    def counted_rows(g):
+        tally["edge_rows"] += 1
+        return rows(g)
+
+    def counted_search(g):
+        tally["cycle_searches"] += 1
+        return search(g)
+
+    monkeypatch.setattr(seb.control.ControlGraph, "edge_rows", counted_rows)
+    monkeypatch.setattr(seb.compiler, "find_tau_cycle", counted_search)
+    return tally
+
+
+def test_check_properties_scans_raw_and_prio_once(scans, tmp_path):
+    # Each check and transform built the rows it read, 10 in all (raw's
+    # twice, prio's three times), and prio was searched for a silent cycle
+    # after raw.
+    path = tmp_path / "gen.seb"
+    path.write_text(to_source(random_activity(5, depth=4)), encoding="utf-8")
+    assert main(["compile", str(path), "--check-properties"]) == 0
+    assert scans == Counter(edge_rows=7, cycle_searches=1)
+
+
+def test_silent_loop_stops_when_its_chase_meets_a_state_twice(monkeypatch, tmp_path, capsys):
+    # The chase stepped between the same two states until the cap: about
+    # 1.1 s and 86 MB at the default cap of 1,000,000.
+    calls = Counter()
+    derive = seb.compiler._derive
+
+    def counted(*args):
+        calls["derive"] += 1
+        return derive(*args)
+
+    monkeypatch.setattr(seb.compiler, "_derive", counted)
+    path = tmp_path / "loop.seb"
+    path.write_text(SILENT_LOOP, encoding="utf-8")
+    assert main(["compile", str(path)]) == 3
+    assert capsys.readouterr().err == "error: state count exceeded the safety cap of 1000000\n"
+    assert calls["derive"] <= 20
 
 
 @pytest.fixture
