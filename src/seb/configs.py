@@ -27,7 +27,18 @@ or sorting the map.
 Queues are kept by location name and by session number.
 ``explore_safety`` keys what it has visited by ``canonical_key``, which
 forgets finished instances, dead sessions, the names of session ids and
-the order of differently shaped instances, each computing its part once.
+the order of differently shaped instances.
+
+Exploration works by deltas.  A successor's key is built from its
+parent's sorted entries of live instances, of which only that of the
+instance the step moved or spawned changes; its safety is read off the
+step.  The parent was found safe, and a session queue has one reader,
+its holder (the first of the three facts below).  So only the mover and,
+after an INV onto an empty queue, that queue's holder, found among the
+live entries, can have become a witness: a REC pops the mover's own
+queue, an INV onto a non-empty queue leaves its head be, and SES1 and
+SES2 touch only location queues, which no instance reads.  Testing the
+two in index order finds the witness a full scan finds.
 
 ``explore_safety`` also reduces by partial order (ample sets, in the manner
 of Clarke, Grumberg, Minea and Peled): where it can, a configuration
@@ -249,8 +260,7 @@ class Instance:
     ``var_map`` holds every variable of the graph's actions (one missing
     from the map given is added undefined), and ``slots`` is the graph's
     slot table for its names, so a step reads and binds variables by
-    position.  ``edges`` is the current state's row of that table;
-    ``_canon`` caches its part of ``canonical_key``.
+    position.  ``edges`` is the current state's row of that table.
     """
 
     origin: str  # service name, or "client"
@@ -259,7 +269,6 @@ class Instance:
     state: int
     slots: SlotTable = field(init=False, repr=False, compare=False)
     edges: StateEdges = field(init=False, repr=False, compare=False)
-    _canon: tuple | None = field(init=False, repr=False, compare=False)
 
     def __init__(self, origin, var_map, graph, state, slots=None) -> None:
         """``slots``, when given, is ``graph``'s slot table for ``var_map``."""
@@ -273,7 +282,6 @@ class Instance:
         self.state = state
         self.slots = slots
         self.edges = slots.rows[state]
-        self._canon = None
 
 
 Queues = tuple[tuple[Value, tuple[Message, ...]], ...]
@@ -317,6 +325,12 @@ class RunningConfiguration:
         """The bound pairs, ordered by the first id's text (``#10`` before ``#2``)."""
         firsts = sorted(range(0, self.fresh_counter, 2), key=str)
         return tuple((SessionId(k), SessionId(k + 1)) for k in firsts)
+
+
+def _queue_get(table: Keyed, key: str | int) -> tuple[Message, ...]:
+    """``key``'s queue in ``table``; empty when it has none."""
+    i = bisect_left(table, key, key=_FIRST)
+    return table[i][1] if i < len(table) and table[i][0] == key else ()
 
 
 def _queue_set(table: Keyed, key: str | int, items: tuple[Message, ...]) -> Keyed:
@@ -503,6 +517,12 @@ def _advance(
     )
 
 
+def _fault(config, rule: RuleTag, who: tuple[str, int], action, code: str, why: str) -> ConfigStep:
+    """``who``'s step by ``action`` that ends ``config`` in a ``code`` fault, ``why`` it failed."""
+    faulty = replace(config, fault=Diagnostic(code, f"{who[0]}[{who[1]}] {why}"))
+    return ConfigStep(rule, who, (action,), faulty)
+
+
 def successors(
     config: RunningConfiguration, actor: int | str | None = None
 ) -> list[ConfigStep]:
@@ -518,17 +538,9 @@ def successors(
         return []
     counter = config.fresh_counter
     locations, sessions = config.locations, config.sessions
-    service_queue, session_queue = dict(locations), dict(sessions)
     ses1: list[ConfigStep] = []
     inv: list[ConfigStep] = []
     rec: list[ConfigStep] = []
-
-    def fault(
-        rule: RuleTag, who: tuple[str, int], action: SesInit | Send, code: str, why: str
-    ) -> ConfigStep:
-        actor = f"{who[0]}[{who[1]}]"
-        faulty = replace(config, fault=Diagnostic(code, f"{actor} {why}"))
-        return ConfigStep(rule, who, (action,), faulty)
 
     if actor is None:
         movers, spawners = enumerate(config.instances), config.services
@@ -545,10 +557,10 @@ def successors(
                 target = var_map[slots[1]][1]
                 if not isinstance(target, ServiceLoc):
                     why = f"initiates on '{action.p}' which holds no location"
-                    ses1.append(fault("SES1", who, action, BROKEN_BINDING, why))
+                    ses1.append(_fault(config, "SES1", who, action, BROKEN_BINDING, why))
                     continue
                 request = NewSession(SessionId(counter + 1))
-                queue = service_queue.get(target.name, ()) + (request,)
+                queue = _queue_get(locations, target.name) + (request,)
                 queued = _queue_set(locations, target.name, queue)
                 bound = _bind(var_map, slots[:1], (SessionId(counter),))
                 result = _advance(config, idx, to, bound, counter + 2, queued, sessions)
@@ -560,7 +572,7 @@ def successors(
                 partner = config.partner(own) if isinstance(own, SessionId) else None
                 if partner is None:
                     why = f"sends on '{action.s}' which is not bound to a session"
-                    inv.append(fault("INV", who, action, BROKEN_BINDING, why))
+                    inv.append(_fault(config, "INV", who, action, BROKEN_BINDING, why))
                     continue
                 payload = tuple(var_map[i][1] for i in slots[1:])
                 bad = [
@@ -570,10 +582,10 @@ def successors(
                 ]
                 if bad:
                     why = f"sends '{bad[0]}' which holds no exchangeable value"
-                    inv.append(fault("INV", who, action, UNDEFINED_PAYLOAD, why))
+                    inv.append(_fault(config, "INV", who, action, UNDEFINED_PAYLOAD, why))
                     continue
                 message = OpMessage(action.op, payload)
-                queue = session_queue.get(partner.number, ()) + (message,)
+                queue = _queue_get(sessions, partner.number) + (message,)
                 queued = _queue_set(sessions, partner.number, queue)
                 result = _advance(config, idx, to, var_map, counter, locations, queued)
                 what = (action, "->", message, "to", partner)
@@ -581,7 +593,7 @@ def successors(
             elif isinstance(action, Recv):
                 # REC: consume a head message of the same operation and arity.
                 own = var_map[slots[0]][1]
-                queue = session_queue.get(own.number, ()) if isinstance(own, SessionId) else ()
+                queue = _queue_get(sessions, own.number) if isinstance(own, SessionId) else ()
                 head = queue[0] if queue else None
                 if head is None or head.op != action.op or len(head.payload) != len(action.params):
                     continue
@@ -593,7 +605,7 @@ def successors(
     # SES2: a service consumes a session request and spawns an instance.
     ses2: list[ConfigStep] = []
     for svc in spawners:
-        queue = service_queue.get(svc.location.name, ())
+        queue = _queue_get(locations, svc.location.name)
         if not queue:
             continue
         head = queue[0]
@@ -641,20 +653,20 @@ def one_step_safe(config: RunningConfiguration) -> UnsafeWitness | None:
     operation message, the instance is open for reception on that session,
     yet no outgoing reception matches the head's operation and arity.
     """
-    heads = {k: items[0] for k, items in config.sessions}
-    if not heads:
-        return None
-    for idx, inst in enumerate(config.instances):
+    return _mismatch(config, range(len(config.instances))) if config.sessions else None
+
+
+def _mismatch(config: RunningConfiguration, indices) -> UnsafeWitness | None:
+    """The first mismatch witness among the instances at ``indices``, in that order."""
+    for idx in indices:
+        inst = config.instances[idx]
         for var, slot, accepted in inst.edges.receptions:
-            value = inst.var_map[slot][1]
-            head = heads.get(value.number) if isinstance(value, SessionId) else None
-            if head is not None and (head.op, len(head.payload)) not in accepted:
+            own = inst.var_map[slot][1]
+            queue = _queue_get(config.sessions, own.number) if isinstance(own, SessionId) else ()
+            if queue and (queue[0].op, len(queue[0].payload)) not in accepted:
+                head = queue[0]
                 return UnsafeWitness(
-                    instance=f"{inst.origin}[{idx}]",
-                    session_var=var,
-                    op=head.op,
-                    arity=len(head.payload),
-                    state=inst.state,
+                    f"{inst.origin}[{idx}]", var, head.op, len(head.payload), inst.state
                 )
     return None
 
@@ -693,27 +705,29 @@ DEFAULT_MAX_CONFIGS, DEFAULT_MAX_QUEUE = 100_000, 16
 # strings, because they equal no value and hash in C.
 _ANY_SESSION = ("even session", "odd session")
 
-_SHAPE = itemgetter(1)
 
-
-def _canon(inst: Instance, shapes: dict[tuple, int]) -> tuple:
-    """Compute and cache ``(shapes, shape, sessions)`` on an instance.
+def _entry(idx: int, inst: Instance, shapes: dict[tuple, int]) -> tuple:
+    """Instance ``idx``'s part of ``canonical_key``: ``(shape, idx, sessions)``.
 
     ``sessions`` numbers the session ids of the var map, in var map order.
     ``shapes`` interns the shape, in discovery order: the origin, graph,
     var map with each session id blanked to its parity, and state.
     """
-    blanked = []
-    sessions = []
+    blanked, sessions = [], []
     for var, value in inst.var_map:
         if isinstance(value, SessionId):
             sessions.append(value.number)
             value = _ANY_SESSION[sessions[-1] & 1]
         blanked.append((var, value))
     shape = (inst.origin, inst.graph, tuple(blanked), inst.state)
-    cached = (shapes, shapes.setdefault(shape, len(shapes)), tuple(sessions))
-    inst._canon = cached
-    return cached
+    return (shapes.setdefault(shape, len(shapes)), idx, tuple(sessions))
+
+
+def _entries(config: RunningConfiguration, shapes: dict[tuple, int]) -> list[tuple]:
+    """The entries (``_entry``) of the live instances, sorted."""
+    return sorted(
+        _entry(idx, inst, shapes) for idx, inst in enumerate(config.instances) if inst.edges.all
+    )
 
 
 def canonical_key(config: RunningConfiguration, shapes: dict[tuple, int]) -> tuple:
@@ -737,22 +751,18 @@ def canonical_key(config: RunningConfiguration, shapes: dict[tuple, int]) -> tup
     reachable from one that holds none.  One exploration passes one
     ``shapes`` table to every call, so no hash seed reaches the key.
     """
-    live = []
-    for inst in config.instances:
-        if inst.edges.all:
-            cached = inst._canon
-            if cached is None or cached[0] is not shapes:
-                cached = _canon(inst, shapes)
-            live.append(cached)
-    live.sort(key=_SHAPE)
-    key: list = [len(live)]
-    key += [shape for _, shape, _ in live]
-    ids = [k for _, _, sessions in live for k in sessions]
+    return _key(_entries(config, shapes), config)[0]
+
+
+def _key(entries: list[tuple], config: RunningConfiguration) -> tuple[tuple, int]:
+    """``config``'s canonical key, given its live ``entries``, and its longest kept queue."""
+    key: list = [len(entries)]
+    key += [shape for shape, _, _ in entries]
+    ids = [k for _, _, sessions in entries for k in sessions]
     pairs: dict[int, int] = {}  # old pair index -> new, in order of first use
     key += [pairs.setdefault(k >> 1, len(pairs)) for k in ids]
     held = set(ids)
-    kept = []
-    sessions_kept = []
+    kept, sessions_kept = [], []
     # Service queues come first, so every live session is known before its
     # queue comes up.
     for name, items in config.locations:
@@ -767,12 +777,30 @@ def canonical_key(config: RunningConfiguration, shapes: dict[tuple, int]) -> tup
             sessions_kept.append((2 * pairs[k >> 1] + (k & 1), items))
     sessions_kept.sort(key=_FIRST)
     key.append(tuple(kept + sessions_kept))
-    return tuple(key)
+    return tuple(key), max([len(items) for _, items in key[-1]], default=0)
 
 
-def _max_queue(key: tuple) -> int:
-    """The length of the longest queue a canonical key keeps."""
-    return max((len(items) for _, items in key[-1]), default=0)
+def _step_entries(entries: list[tuple], step: ConfigStep, shapes: dict[tuple, int]) -> list[tuple]:
+    """The live entries of ``step.result``, from ``entries``, those of the step's source."""
+    idx = len(step.result.instances) - 1 if step.rule == "SES2" else step.who[1]
+    succ = [entry for entry in entries if entry[1] != idx]
+    moved = step.result.instances[idx]
+    if moved.edges.all:
+        entry = _entry(idx, moved, shapes)
+        succ.insert(bisect_left(succ, entry), entry)
+    return succ
+
+
+def _step_witness(step: ConfigStep, entries: list[tuple]) -> UnsafeWitness | None:
+    """``one_step_safe(step.result)``, if ``step`` left a safe configuration (module docstring)."""
+    config = step.result
+    candidates = [len(config.instances) - 1 if step.rule == "SES2" else step.who[1]]
+    if step.rule == "INV":
+        k = step.what[-1].number  # the partner session the message went to
+        if len(_queue_get(config.sessions, k)) == 1:
+            candidates += [idx for _, idx, held in entries if k in held]
+            candidates.sort()
+    return _mismatch(config, candidates)
 
 
 def _ample(config: RunningConfiguration) -> int | str | None:
@@ -782,31 +810,26 @@ def _ample(config: RunningConfiguration) -> int | str | None:
     other actor's, exactly or up to symmetry: an instance whose edges are
     all session initiations, else a service that can take SES2, else an
     instance whose edges are all sends, else one whose edges are all
-    receptions on one variable and that can take one.  Edge rows sort by
-    action class, then by session variable, so their first and last edges
-    say what all are.
+    receptions on one variable and that can take one.  Each edge row
+    says which of these it is (``StateEdges.only``).
     """
-    session_queue = dict(config.sessions)
     sender = receiver = None
     for idx, inst in enumerate(config.instances):
-        edges = inst.edges.all
-        if not edges:
-            continue
-        first, last = edges[0][0], edges[-1][0]
-        if isinstance(first, SesInit) and isinstance(last, SesInit):
+        only = inst.edges.only
+        if only is SesInit:
             return idx
-        if sender is None and isinstance(first, Send) and isinstance(last, Send):
+        if only is Send and sender is None:
             sender = idx
-        elif receiver is None and isinstance(first, Recv) and first.s == last.s:
+        elif only is Recv and receiver is None:
             [(_, slot, accepted)] = inst.edges.receptions
             own = inst.var_map[slot][1]
-            queue = session_queue.get(own.number) if isinstance(own, SessionId) else None
+            queue = _queue_get(config.sessions, own.number) if isinstance(own, SessionId) else ()
             if queue and (queue[0].op, len(queue[0].payload)) in accepted:
                 receiver = idx
-    service_queue = dict(config.locations)
-    for svc in config.services:
-        if svc.location.name in service_queue:
-            return svc.name
+    if config.locations:
+        for svc in config.services:
+            if _queue_get(config.locations, svc.location.name):
+                return svc.name
     return receiver if sender is None else sender
 
 
@@ -828,6 +851,10 @@ def explore_safety(
     ``Verified`` means no reachable configuration is unsafe.  Hitting
     either limit downgrades the verdict to ``Exhausted``: verified only up
     to the bound.  ``max_queue_len`` bounds the queues the key keeps.
+
+    The frontier carries each configuration's live entries and the step
+    that reached it, so only the initial one is keyed and checked from
+    scratch (``_step_entries``, ``_step_witness``).
     """
     initial = make_initial_config(services, client)
     shapes: dict[tuple, int] = {}
@@ -846,44 +873,52 @@ def explore_safety(
             _, key, step = visited[key]
         return tuple(reversed(trace))
 
-    def keyed(steps: list[ConfigStep]) -> list[tuple[ConfigStep, tuple | None]]:
-        """Each step with its result's key; None for a fault step."""
-        return [
-            (step, None if step.result.fault is not None else canonical_key(step.result, shapes))
-            for step in steps
-        ]
+    def keyed(config, entries, actor=None):
+        """Each of ``actor``'s steps, with its result's key, longest kept queue, live entries
+        and (for one actor) ``visited`` entry; a fault step has none of these."""
+        out = []
+        for step in successors(config, actor):
+            if step.result.fault is not None:
+                out.append((step, None, 0, None, False))
+                continue
+            succ = _step_entries(entries, step, shapes)
+            succ_key, longest = _key(succ, step.result)
+            seen = actor is not None and visited.get(succ_key)
+            out.append((step, succ_key, longest, succ, seen))
+        return out
 
-    frontier = [(initial, start)]
+    frontier = [(initial, start, _entries(initial, shapes), None)]
     depth = 0
     while frontier:
         next_frontier = []
-        for config, key in frontier:
-            witness = one_step_safe(config)
+        for config, key, entries, last in frontier:
+            witness = one_step_safe(config) if last is None else _step_witness(last, entries)
             if witness is not None:
                 return Unsafe(trace_to(key), witness, configurations=len(visited))
             actor = _ample(config)
-            expansion = [] if actor is None else keyed(successors(config, actor))
+            expansion = [] if actor is None else keyed(config, entries, actor)
             if actor is None or any(
-                k is not None
-                and (_max_queue(k) > max_queue_len or k in visited and visited[k][0] <= depth)
-                for _, k in expansion
+                k is not None and (longest > max_queue_len or seen and seen[0] <= depth)
+                for _, k, longest, _, seen in expansion
             ):
-                expansion = keyed(successors(config))
-            for step, succ_key in expansion:
+                expansion = keyed(config, entries)
+            for step, succ_key, longest, succ, seen in expansion:
                 if succ_key is None:
                     trace = trace_to(key) + (step,)
                     return Unsafe(trace, None, fault=step.result.fault, configurations=len(visited))
-                if succ_key in visited:
+                if seen:
                     continue
-                if _max_queue(succ_key) > max_queue_len:
+                # No visited key holds a queue over the bound.
+                if longest > max_queue_len:
                     truncated = True
                     continue
-                if len(visited) >= max_configs:
+                if len(visited) >= max_configs and succ_key not in visited:
                     return Exhausted(
                         len(visited), max_configs, max_queue_len, "configuration limit"
                     )
-                visited[succ_key] = (depth + 1, key, step)
-                next_frontier.append((step.result, succ_key))
+                mark = (depth + 1, key, step)
+                if visited.setdefault(succ_key, mark) is mark:
+                    next_frontier.append((step.result, succ_key, succ, step))
         frontier = next_frontier
         depth += 1
 

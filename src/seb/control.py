@@ -243,11 +243,13 @@ class StateEdges(NamedTuple):
     session first.  ``receptions`` holds ``(variable, slot, accepted)`` for
     each session variable the state receives on, in name order:
     ``accepted`` holds the ``(operation, arity)`` pairs its receptions
-    accept.
+    accept.  ``only`` is the one class of the row's actions, if it has one
+    and receives on one variable at most; None otherwise.
     """
 
     all: tuple[tuple[Action, int, tuple[int, ...]], ...]
     receptions: tuple[tuple[str, int, frozenset[tuple[str, int]]], ...]
+    only: type | None
 
 
 class SlotTable(NamedTuple):
@@ -326,12 +328,15 @@ class ControlGraph:
             rows = []
             for row in out:
                 recvs = [a for a, _ in row if isinstance(a, Recv)]  # sorted by session variable
+                receptions = tuple(
+                    (s, index[s], frozenset((a.op, len(a.params)) for a in group))
+                    for s, group in groupby(recvs, key=lambda a: a.s)
+                )
+                kinds = {type(a) for a, _ in row}
                 rows.append(StateEdges(
                     tuple((a, to, tuple(index[v] for v, _, _ in occs[id(a)])) for a, to in row),
-                    tuple(
-                        (s, index[s], frozenset((a.op, len(a.params)) for a in group))
-                        for s, group in groupby(recvs, key=lambda a: a.s)
-                    ),
+                    receptions,
+                    kinds.pop() if len(kinds) == 1 and len(receptions) < 2 else None,
                 ))
             tables[names] = SlotTable(index, tuple(rows))
         return tables[names]
